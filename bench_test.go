@@ -1,8 +1,9 @@
 // Benchmarks regenerating the ViteX paper's quantitative claims, one per
-// experiment in DESIGN.md §3 (run `go test -bench=. -benchmem`), plus the
-// ablations of DESIGN.md §5. cmd/vitexbench runs the same experiments at
-// paper scale with formatted report tables; these benches provide the
-// ns/op / B/op view over smaller, benchmark-friendly corpora.
+// experiment E1-E8 (internal/experiments documents each; run
+// `go test -bench=. -benchmem`), plus ablations of the machine's design
+// choices. cmd/vitexbench runs the same experiments at paper scale with
+// formatted report tables; these benches provide the ns/op / B/op view
+// over smaller, benchmark-friendly corpora.
 package vitex
 
 import (
@@ -204,7 +205,7 @@ func BenchmarkE8Latency(b *testing.B) {
 	}
 }
 
-// --- ablations (DESIGN.md §5) ---
+// --- ablations of the machine's design choices ---
 
 // BenchmarkAblationEager compares eager satisfaction propagation (default;
 // enables incremental output) against pop-time-only propagation.

@@ -1,8 +1,8 @@
 // Command vitexbench regenerates the quantitative claims of the ViteX paper
-// (experiments E1-E8; see DESIGN.md §3 and EXPERIMENTS.md). At the default
-// scale it reproduces the paper's setting — a 75MB protein corpus — which
-// takes a few seconds per experiment plus one-time corpus generation; use
-// -mb to scale down.
+// (experiments E1-E8, each documented by its Run* function in
+// internal/experiments). At the default scale it reproduces the paper's
+// setting — a 75MB protein corpus — which takes a few seconds per
+// experiment plus one-time corpus generation; use -mb to scale down.
 //
 // It also maintains the repository's machine-readable performance trajectory:
 // `vitexbench -exp bench` runs the engine workloads (single query, and routed

@@ -238,7 +238,7 @@ func TestShardRebalanceIsLocal(t *testing.T) {
 	if got := e.Metrics().ShardRebalances; got != 0 {
 		t.Fatalf("initial build counted %d rebalances", got)
 	}
-	tables := make([][][]int32, workers)
+	tables := make([]subTable, workers)
 	for wi, w := range ps.workers {
 		tables[wi] = w.rt.elemSubs
 	}

@@ -191,9 +191,9 @@ func NewConfigured(cfg Config, queries ...*xpath.Query) (*Engine, error) {
 		e.graftLocked(ep, int32(len(ep.progs)-1), p)
 		e.compiles.Add(1)
 	}
-	ep.elemSubs = make([][]int32, e.syms.Len()+1)
-	ep.attrSubs = make([][]int32, e.syms.Len()+1)
-	ep.outputSubs = make([][]int32, e.syms.Len()+1)
+	ep.elemSubs = subTable(nil).grown(e.syms.Len())
+	ep.attrSubs = subTable(nil).grown(e.syms.Len())
+	ep.outputSubs = subTable(nil).grown(e.syms.Len())
 	for i, p := range ep.progs {
 		ep.subscribe(int32(i), p)
 	}
@@ -472,7 +472,7 @@ func (s *session) WantsAttrValue(elemID, attrID int32) bool {
 	if elemID == sax.SymNone || attrID == sax.SymNone {
 		return true
 	}
-	if attrID > 0 && int(attrID) < len(ep.attrSubs) && len(ep.attrSubs[attrID]) > 0 {
+	if len(ep.attrSubs.get(attrID)) > 0 {
 		return true
 	}
 	if !s.recordable {
@@ -481,7 +481,7 @@ func (s *session) WantsAttrValue(elemID, attrID int32) bool {
 	if len(ep.outputWild) > 0 {
 		return true
 	}
-	return elemID > 0 && int(elemID) < len(ep.outputSubs) && len(ep.outputSubs[elemID]) > 0
+	return len(ep.outputSubs.get(elemID)) > 0
 }
 
 // HandleEvent implements sax.Handler: it counts the scan's shared-level
@@ -538,10 +538,10 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 type router struct {
 	runs []*twigm.Run //vitex:keep rewired by init/rehost on resync, not per stream
 
-	elemSubs [][]int32 //vitex:keep subscription tables, rebuilt only on resync
-	attrSubs [][]int32 //vitex:keep subscription tables, rebuilt only on resync
-	wild     []int32   //vitex:keep subscription tables, rebuilt only on resync
-	machines []int32   //vitex:keep routed-machine set, rebuilt only on resync
+	elemSubs subTable //vitex:keep subscription tables, rebuilt only on resync
+	attrSubs subTable //vitex:keep subscription tables, rebuilt only on resync
+	wild     []int32  //vitex:keep subscription tables, rebuilt only on resync
+	machines []int32  //vitex:keep routed-machine set, rebuilt only on resync
 
 	// Dynamic routing sets. endSet holds machines with live stack entries
 	// or an active recording (they need end-element events); textSet holds
@@ -584,7 +584,7 @@ type router struct {
 // given subscription tables; machines lists the ids this router routes for,
 // trie is the epoch's shared prefix trie (nil without sharing) and trieIDs
 // restricts trie evaluation to a subset of node IDs (nil = all).
-func (rt *router) init(runs []*twigm.Run, elemSubs, attrSubs [][]int32, wild, machines []int32, trie *twigm.Trie, trieIDs []bool) {
+func (rt *router) init(runs []*twigm.Run, elemSubs, attrSubs subTable, wild, machines []int32, trie *twigm.Trie, trieIDs []bool) {
 	n := len(runs)
 	rt.runs = runs
 	rt.elemSubs = elemSubs
@@ -759,14 +759,14 @@ func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 	if id := ev.NameID; id == sax.SymNone {
 		// Producer without a symbol table: no routing information.
 		broadcast = true
-	} else if id > 0 && int(id) < len(rt.elemSubs) {
-		out = rt.appendNew(out, rt.elemSubs[id])
+	} else {
+		out = rt.appendNew(out, rt.elemSubs.get(id))
 	}
 	for ai := range ev.Attrs {
 		if id := ev.Attrs[ai].NameID; id == sax.SymNone {
 			broadcast = true
-		} else if id > 0 && int(id) < len(rt.attrSubs) {
-			out = rt.appendNew(out, rt.attrSubs[id])
+		} else {
+			out = rt.appendNew(out, rt.attrSubs.get(id))
 		}
 	}
 	if broadcast {

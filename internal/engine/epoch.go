@@ -11,11 +11,14 @@
 //     never invalidated, and scanners only ever need to re-resolve names they
 //     previously failed to find (see xmlscan.Scanner.Reset).
 //   - An epoch assigns each machine a slot. Mutations build the next epoch
-//     by structural sharing: outer tables are copied (O(slots) pointer
-//     copies, no compilation), inner subscription lists are shared and only
-//     appended to — appends land past every older epoch's length, so
-//     in-flight streams reading an older epoch never observe them. Removal
-//     rebuilds just the removed machine's lists.
+//     by structural sharing: slot tables are copied (O(slots) pointer
+//     copies, no compilation); the name-indexed subscription tables are
+//     two-level, so a mutation copies their chunk index and only the
+//     chunks holding the names the changed machine tests; inner
+//     subscription lists are shared and only appended to — appends land
+//     past every older epoch's length, so in-flight streams reading an
+//     older epoch never observe them. Removal rebuilds just the removed
+//     machine's lists.
 //   - Remove tombstones a slot (progs[slot] = nil) instead of renumbering,
 //     so untouched machines keep their slots and pooled sessions resync
 //     incrementally. When tombstones exceed a threshold, a compaction pass
@@ -65,14 +68,14 @@ type epoch struct {
 	// liveIdx maps slot -> dense index in live (-1 for tombstones).
 	liveIdx []int32
 
-	elemSubs [][]int32 // NameID -> live slots subscribed to the element name
-	attrSubs [][]int32 // NameID -> live slots subscribed to the attribute name
-	wild     []int32   // live slots with a '*' element node
+	elemSubs subTable // NameID -> live slots subscribed to the element name
+	attrSubs subTable // NameID -> live slots subscribed to the attribute name
+	wild     []int32  // live slots with a '*' element node
 	// outputSubs/outputWild index machines by their OUTPUT element name: the
 	// only machines that can start a fragment recording on an element with
 	// that name. Attribute-value interest routing (sax.AttrInterest) reads
 	// them; they are maintained exactly like elemSubs/wild.
-	outputSubs [][]int32
+	outputSubs subTable
 	outputWild []int32
 
 	// trie is the shared prefix trie of this membership (nil when the
@@ -87,20 +90,20 @@ type epoch struct {
 	garbage int // tombstoned slots in progs
 }
 
-// clone copies the epoch's outer structure for the next mutation: slot and
-// subscription tables get fresh outer slices (inner lists shared), and the
-// subscription tables grow to cover symsLen (the table may have grown while
-// compiling the query that triggered this mutation).
+// clone copies the epoch's outer structure for the next mutation: slot
+// tables get fresh outer slices, subscription tables fresh chunk indexes
+// (chunks and inner lists shared) grown to cover symsLen (the table may have
+// grown while compiling the query that triggered this mutation).
 //
 //vitex:cowmut builds the next epoch before publication
 func (ep *epoch) clone(symsLen int) *epoch {
 	next := &epoch{
 		seq:        ep.seq + 1,
 		progs:      append([]*twigm.Program(nil), ep.progs...),
-		elemSubs:   growSubs(ep.elemSubs, symsLen),
-		attrSubs:   growSubs(ep.attrSubs, symsLen),
+		elemSubs:   ep.elemSubs.grown(symsLen),
+		attrSubs:   ep.attrSubs.grown(symsLen),
 		wild:       ep.wild,
-		outputSubs: growSubs(ep.outputSubs, symsLen),
+		outputSubs: ep.outputSubs.grown(symsLen),
 		outputWild: ep.outputWild,
 		trie:       ep.trie,
 		anchors:    append([]int32(nil), ep.anchors...),
@@ -109,16 +112,69 @@ func (ep *epoch) clone(symsLen int) *epoch {
 	return next
 }
 
-// growSubs copies the outer slice of a subscription table, extended to cover
-// IDs 1..symsLen.
-func growSubs(subs [][]int32, symsLen int) [][]int32 {
-	n := symsLen + 1
-	if n < len(subs) {
-		n = len(subs)
+// subChunkBits sets the chunk size of a subscription table: 16 names, so a
+// small table (a single query's engine) stays near its dense size.
+const subChunkBits = 4
+
+// subTable maps a symbol ID to the live slots subscribed to it. It is a
+// two-level table: an index of chunks, each holding the lists of
+// 1<<subChunkBits consecutive IDs. Epochs share chunks; an epoch under
+// construction copies a chunk the first time it writes it, so a mutation
+// costs the chunks its machine's names fall in, not the size of the symbol
+// table.
+type subTable []*subChunk
+
+// subChunk is one chunk of a subscription table; seq is the epoch that
+// created it, the only epoch that may write it.
+//
+//vitex:cow
+type subChunk struct {
+	seq   uint64
+	lists [1 << subChunkBits][]int32
+}
+
+// get returns the slots subscribed to id (nil for IDs the table does not
+// cover).
+//
+//vitex:hotpath
+func (t subTable) get(id int32) []int32 {
+	c := int(id >> subChunkBits)
+	if id <= 0 || c >= len(t) || t[c] == nil {
+		return nil
 	}
-	out := make([][]int32, n)
-	copy(out, subs)
+	return t[c].lists[id&(1<<subChunkBits-1)]
+}
+
+// grown returns a fresh chunk index sharing t's chunks and covering IDs
+// 1..symsLen.
+func (t subTable) grown(symsLen int) subTable {
+	n := symsLen>>subChunkBits + 1
+	if n < len(t) {
+		n = len(t)
+	}
+	out := make(subTable, n)
+	copy(out, t)
 	return out
+}
+
+// set stores id's list in the table of the epoch with sequence seq, first
+// copying the chunk if an older epoch created it.
+//
+//vitex:cowmut writes only chunks of the unpublished epoch seq
+func (t subTable) set(id int32, list []int32, seq uint64) {
+	c := id >> subChunkBits
+	ch := t[c]
+	switch {
+	case ch == nil:
+		ch = &subChunk{seq: seq}
+		t[c] = ch
+	case ch.seq != seq:
+		cp := *ch
+		cp.seq = seq
+		ch = &cp
+		t[c] = ch
+	}
+	ch.lists[id&(1<<subChunkBits-1)] = list
 }
 
 // subscribe adds slot to every routing list its program's static
@@ -128,10 +184,10 @@ func growSubs(subs [][]int32, symsLen int) [][]int32 {
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
 	for _, id := range p.ElemNameIDs() {
-		ep.elemSubs[id] = append(ep.elemSubs[id], slot)
+		ep.elemSubs.set(id, append(ep.elemSubs.get(id), slot), ep.seq)
 	}
 	for _, id := range p.AttrNameIDs() {
-		ep.attrSubs[id] = append(ep.attrSubs[id], slot)
+		ep.attrSubs.set(id, append(ep.attrSubs.get(id), slot), ep.seq)
 	}
 	if p.HasWildcardElem() {
 		ep.wild = append(ep.wild, slot)
@@ -139,7 +195,7 @@ func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
 	if id, wildcard := p.OutputElemNameID(); wildcard {
 		ep.outputWild = append(ep.outputWild, slot)
 	} else if id > 0 {
-		ep.outputSubs[id] = append(ep.outputSubs[id], slot)
+		ep.outputSubs.set(id, append(ep.outputSubs.get(id), slot), ep.seq)
 	}
 }
 
@@ -149,10 +205,10 @@ func (ep *epoch) subscribe(slot int32, p *twigm.Program) {
 //vitex:cowmut called on unpublished epochs only
 func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
 	for _, id := range p.ElemNameIDs() {
-		ep.elemSubs[id] = without(ep.elemSubs[id], slot)
+		ep.elemSubs.set(id, without(ep.elemSubs.get(id), slot), ep.seq)
 	}
 	for _, id := range p.AttrNameIDs() {
-		ep.attrSubs[id] = without(ep.attrSubs[id], slot)
+		ep.attrSubs.set(id, without(ep.attrSubs.get(id), slot), ep.seq)
 	}
 	if p.HasWildcardElem() {
 		ep.wild = without(ep.wild, slot)
@@ -160,7 +216,7 @@ func (ep *epoch) unsubscribe(slot int32, p *twigm.Program) {
 	if id, wildcard := p.OutputElemNameID(); wildcard {
 		ep.outputWild = without(ep.outputWild, slot)
 	} else if id > 0 {
-		ep.outputSubs[id] = without(ep.outputSubs[id], slot)
+		ep.outputSubs.set(id, without(ep.outputSubs.get(id), slot), ep.seq)
 	}
 }
 
@@ -212,9 +268,9 @@ func (ep *epoch) compact(symsLen int) *epoch {
 	next := &epoch{
 		seq:        ep.seq, // compaction rides the mutation that triggered it
 		progs:      make([]*twigm.Program, 0, len(ep.live)),
-		elemSubs:   make([][]int32, symsLen+1),
-		attrSubs:   make([][]int32, symsLen+1),
-		outputSubs: make([][]int32, symsLen+1),
+		elemSubs:   subTable(nil).grown(symsLen),
+		attrSubs:   subTable(nil).grown(symsLen),
+		outputSubs: subTable(nil).grown(symsLen),
 		trie:       ep.trie,
 		anchors:    make([]int32, 0, len(ep.live)),
 	}

@@ -487,14 +487,21 @@ func (ps *psession) sync(ep *epoch) {
 }
 
 // shardFilter restricts a subscription table to the slots of one shard.
-func shardFilter(subs [][]int32, ps *psession, w int) [][]int32 {
-	out := make([][]int32, len(subs))
-	for id, list := range subs {
-		for _, slot := range list {
-			if ps.shardOf(slot) == w {
-				out[id] = append(out[id], slot)
+func shardFilter(subs subTable, ps *psession, w int) subTable {
+	out := make(subTable, len(subs))
+	for c, ch := range subs {
+		if ch == nil {
+			continue
+		}
+		var lists [1 << subChunkBits][]int32
+		for i, list := range ch.lists {
+			for _, slot := range list {
+				if ps.shardOf(slot) == w {
+					lists[i] = append(lists[i], slot)
+				}
 			}
 		}
+		out[c] = &subChunk{lists: lists}
 	}
 	return out
 }

@@ -1,9 +1,10 @@
 // Package experiments reproduces every quantitative claim of the ViteX
-// paper (see DESIGN.md §3 for the experiment index). Each Run* function
-// executes one experiment at a configurable scale and returns a rendered
-// table plus the measurements, so cmd/vitexbench can print reports and the
-// test suite can assert the *shapes* the paper claims (linear scaling, flat
-// memory, exponential naive blowup) at reduced scale.
+// paper, one Run* function per experiment (E1-E9), each documenting the
+// experiment it runs. A Run* function executes its experiment at a
+// configurable scale and returns a rendered table plus the measurements, so
+// cmd/vitexbench can print reports and the test suite can assert the
+// *shapes* the paper claims (linear scaling, flat memory, exponential naive
+// blowup) at reduced scale.
 package experiments
 
 import (

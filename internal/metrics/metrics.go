@@ -1,5 +1,5 @@
-// Package metrics provides the measurement harness for the experiments in
-// EXPERIMENTS.md: live-heap sampling during a stream evaluation (the
+// Package metrics provides the measurement harness for the experiments of
+// internal/experiments: live-heap sampling during a stream evaluation (the
 // paper's "memory stable at 1MB" claim, E2), wall-time accounting with
 // parse-share breakdown (E1), least-squares fits for the scaling
 // experiments (E3/E4/E7), and fixed-width table rendering for the

@@ -575,8 +575,10 @@ func (c *channel) metrics() ChannelMetrics {
 		Results:       c.delivered.Load(),
 		Gaps:          c.gaps.Load(),
 		Queued:        queued,
+		LiveQueries:   c.qs.Len(),
 		Engine:        c.qs.Metrics(),
 	}
+	cm.LiveMachines = cm.Engine.Live
 	lat := &LatencyMetrics{
 		PublishToAck:      c.pubAck.Snapshot().Stats(),
 		PublishToDelivery: c.pubDeliver.Snapshot().Stats(),

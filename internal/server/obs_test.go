@@ -257,12 +257,21 @@ func TestMetricsContentNegotiation(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	cl, _, _ := startServer(t, server.Config{DataDir: t.TempDir(), Policy: server.PolicyBlock})
 	ctx := context.Background()
-	sub, err := cl.Subscribe(ctx, "ticker", "//trade[symbol='ACME']/price")
-	if err != nil {
-		t.Fatal(err)
+	// A duplicate subscription shares the first one's machine, and a
+	// three-branch union takes one machine per branch: three queries on
+	// four machines.
+	for _, query := range []string{
+		"//trade[symbol='ACME']/price",
+		"//trade[symbol='ACME']/price",
+		"//trade/price | //trade/symbol | //feed/trade",
+	} {
+		sub, err := cl.Subscribe(ctx, "ticker", query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := drainInBackground(t, cl, "ticker", sub.ID)
+		defer stop()
 	}
-	stop := drainInBackground(t, cl, "ticker", sub.ID)
-	defer stop()
 	const docs = 3
 	for i := 0; i < docs; i++ {
 		if _, err := cl.Publish(ctx, "ticker", strings.NewReader(httpFeed)); err != nil {
@@ -289,13 +298,14 @@ func TestPrometheusExposition(t *testing.T) {
 	label := `{channel="ticker"}`
 	for name, want := range map[string]string{
 		"vitex_broker_channels":                      "1",
-		"vitex_channel_subscriptions" + label:        "1",
+		"vitex_channel_subscriptions" + label:        "3",
 		"vitex_channel_docs_in_total" + label:        "3",
 		"vitex_channel_docs_failed_total" + label:    "0",
-		"vitex_channel_results_total" + label:        "6",
+		"vitex_channel_results_total" + label:        "39", // (2+2+9) x 3
 		"vitex_channel_gaps_total" + label:           "0",
 		"vitex_wal_last_cursor" + label:              "3",
-		"vitex_engine_live_queries" + label:          "1",
+		"vitex_engine_live_queries" + label:          "3",
+		"vitex_engine_live_machines" + label:         "4",
 		"vitex_publish_to_ack_seconds_count" + label: "3",
 	} {
 		if got := series[name]; got != want {
@@ -350,6 +360,9 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	cm := m.Channels["ticker"]
+	if cm.LiveQueries != 3 || cm.LiveMachines != 4 {
+		t.Fatalf("JSON live_queries/live_machines = %d/%d, want 3/4", cm.LiveQueries, cm.LiveMachines)
+	}
 	if cm.Latency == nil || cm.Latency.PublishToAck.Count != docs {
 		t.Fatalf("JSON latency = %+v, want publish_to_ack count %d", cm.Latency, docs)
 	}

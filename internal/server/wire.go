@@ -160,6 +160,12 @@ type ChannelMetrics struct {
 	// WAL is the channel's durability accounting (nil on a memory-only
 	// broker).
 	WAL *WALMetrics `json:"wal,omitempty"`
+	// LiveQueries is the number of standing queries in the channel's
+	// QuerySet; LiveMachines is the number of engine machines evaluating
+	// them: one per union branch of each distinct query, since equal
+	// queries share their machines.
+	LiveQueries  int `json:"live_queries"`
+	LiveMachines int `json:"live_machines"`
 	// Engine is the channel's live-QuerySet churn accounting (compiles,
 	// epochs, compactions, slot occupancy).
 	Engine engine.Metrics `json:"engine"`

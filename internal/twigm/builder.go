@@ -45,19 +45,15 @@ type Program struct {
 	nodes []*node // all nodes, ids dense, topological (parent before child)
 
 	// syms is the symbol table the program's names were interned into.
-	// Events produced against the same table dispatch through the ID
-	// slices below (one bounds check + slice index on the hot path);
-	// events without IDs fall back to the name maps.
-	syms     *sax.Symbols
-	elemByID [][]*node // element nodes by NameID (no wildcards)
-	attrByID [][]*node // attribute nodes by NameID
-
-	// Event-dispatch indexes (string fallback for producers that do not
-	// intern, e.g. hand-built events).
-	elemIndex map[string][]*node // element nodes by name (no wildcards)
-	wildElems []*node            // element nodes with name "*"
-	attrIndex map[string][]*node // attribute nodes by name
-	textNodes []*node            // text() nodes
+	// Events produced against the same table dispatch by symbol ID through
+	// the sparse tables below; events without IDs (hand-built events)
+	// match on the local name instead. The tables hold only the names this
+	// program tests, however large the shared table grows.
+	syms      *sax.Symbols
+	elems     dispatch // element nodes by local name (no wildcards)
+	attrs     dispatch // attribute nodes by local name
+	wildElems []*node  // element nodes with name "*"
+	textNodes []*node  // text() nodes
 	// valueNodes are element nodes that must accumulate their string-value
 	// (they carry a chain comparison or a self-comparison predicate).
 	valueNodes []*node
@@ -152,33 +148,95 @@ func CompileWith(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 	if syms == nil {
 		syms = sax.NewSymbols()
 	}
-	p := &Program{
-		query:     q,
-		syms:      syms,
-		elemIndex: make(map[string][]*node),
-		attrIndex: make(map[string][]*node),
-	}
+	p := &Program{query: q, syms: syms}
 	root, err := p.build(q.Root, nil)
 	if err != nil {
 		return nil, err
 	}
 	p.root = root
-	p.freezeDispatch()
 	return p, nil
 }
 
-// freezeDispatch builds the ID-keyed dispatch views from the name maps. The
-// table may keep growing as later programs intern their names; IDs past the
-// end of these slices simply belong to no node of this program.
-func (p *Program) freezeDispatch() {
-	p.elemByID = make([][]*node, p.syms.Len()+1)
-	for name, nodes := range p.elemIndex {
-		p.elemByID[p.syms.Intern(name)] = nodes
+// dispatch is a sparse event-dispatch table: one entry per local name the
+// program tests, sorted by symbol ID. A query tests a handful of names, so
+// the table stays a few entries long even when the shared symbol table
+// holds thousands.
+type dispatch []nameNodes
+
+// nameNodes is one dispatch entry: the machine nodes testing one local name.
+type nameNodes struct {
+	id    int32
+	local string
+	nodes []*node
+}
+
+// linearMax is the table length up to which byID scans instead of
+// bisecting.
+const linearMax = 8
+
+// add registers m under its local name, keeping the table sorted by ID.
+func (d *dispatch) add(m *node) {
+	t := *d
+	i := 0
+	for i < len(t) && t[i].id < m.nameID {
+		i++
 	}
-	p.attrByID = make([][]*node, p.syms.Len()+1)
-	for name, nodes := range p.attrIndex {
-		p.attrByID[p.syms.Intern(name)] = nodes
+	if i < len(t) && t[i].id == m.nameID {
+		t[i].nodes = append(t[i].nodes, m)
+		return
 	}
+	t = append(t, nameNodes{})
+	copy(t[i+1:], t[i:])
+	t[i] = nameNodes{id: m.nameID, local: m.local, nodes: []*node{m}}
+	*d = t
+}
+
+// byID returns the nodes testing the name with symbol ID id.
+//
+//vitex:hotpath
+func (d dispatch) byID(id int32) []*node {
+	if len(d) <= linearMax {
+		for i := range d {
+			if d[i].id == id {
+				return d[i].nodes
+			}
+		}
+		return nil
+	}
+	lo, hi := 0, len(d)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(d) && d[lo].id == id {
+		return d[lo].nodes
+	}
+	return nil
+}
+
+// byName returns the nodes testing local name local.
+//
+//vitex:hotpath
+func (d dispatch) byName(local string) []*node {
+	for i := range d {
+		if d[i].local == local {
+			return d[i].nodes
+		}
+	}
+	return nil
+}
+
+// ids lists the table's symbol IDs in ascending order.
+func (d dispatch) ids() []int32 {
+	ids := make([]int32, len(d))
+	for i := range d {
+		ids[i] = d[i].id
+	}
+	return ids
 }
 
 // Symbols returns the table the program's names are interned in.
@@ -223,11 +281,11 @@ func (p *Program) build(qn *xpath.Node, parent *node) (*node, error) {
 			p.wildElems = append(p.wildElems, m)
 		} else {
 			m.nameID = p.syms.Intern(m.local)
-			p.elemIndex[m.local] = append(p.elemIndex[m.local], m)
+			p.elems.add(m)
 		}
 	case xpath.Attribute:
 		m.nameID = p.syms.Intern(m.local)
-		p.attrIndex[m.local] = append(p.attrIndex[m.local], m)
+		p.attrs.add(m)
 	case xpath.Text:
 		p.textNodes = append(p.textNodes, m)
 	}
@@ -442,28 +500,12 @@ func (p *Program) Query() *xpath.Query { return p.query }
 
 // ElemNameIDs returns the symbol IDs of the element names this machine can
 // push on — the static element-name subscriptions of routed dispatch.
-func (p *Program) ElemNameIDs() []int32 {
-	ids := make([]int32, 0, len(p.elemByID))
-	for id, nodes := range p.elemByID {
-		if len(nodes) > 0 {
-			ids = append(ids, int32(id))
-		}
-	}
-	return ids
-}
+func (p *Program) ElemNameIDs() []int32 { return p.elems.ids() }
 
 // AttrNameIDs returns the symbol IDs of the attribute names this machine
 // matches: a start-element event carrying one of them is relevant even when
 // the element name is not.
-func (p *Program) AttrNameIDs() []int32 {
-	ids := make([]int32, 0, len(p.attrByID))
-	for id, nodes := range p.attrByID {
-		if len(nodes) > 0 {
-			ids = append(ids, int32(id))
-		}
-	}
-	return ids
-}
+func (p *Program) AttrNameIDs() []int32 { return p.attrs.ids() }
 
 // HasWildcardElem reports whether the machine has a '*' element node and
 // therefore must see every start-element event.

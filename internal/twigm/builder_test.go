@@ -1,9 +1,11 @@
 package twigm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/sax"
 	"repro/internal/xpath"
 )
 
@@ -22,11 +24,11 @@ func compile(t *testing.T, src string) *Program {
 
 func TestBuilderNodeIndexes(t *testing.T) {
 	p := compile(t, "//a[@id and text()]//b[c]/@href")
-	if len(p.elemIndex["a"]) != 1 || len(p.elemIndex["b"]) != 1 || len(p.elemIndex["c"]) != 1 {
-		t.Fatalf("element index: %v", p.elemIndex)
+	if len(p.elems.byName("a")) != 1 || len(p.elems.byName("b")) != 1 || len(p.elems.byName("c")) != 1 {
+		t.Fatalf("element index: %v", p.elems)
 	}
-	if len(p.attrIndex["id"]) != 1 || len(p.attrIndex["href"]) != 1 {
-		t.Fatalf("attr index: %v", p.attrIndex)
+	if len(p.attrs.byName("id")) != 1 || len(p.attrs.byName("href")) != 1 {
+		t.Fatalf("attr index: %v", p.attrs)
 	}
 	if len(p.textNodes) != 1 {
 		t.Fatalf("text nodes: %d", len(p.textNodes))
@@ -240,8 +242,64 @@ func TestTrailingComparisonOnPredicatePath(t *testing.T) {
 
 func TestAttrCmpInline(t *testing.T) {
 	p := compile(t, "//a[@id='7']")
-	attr := p.attrIndex["id"][0]
+	attr := p.attrs.byName("id")[0]
 	if attr.cmp == nil || !attr.cmp.Eval("7") || attr.cmp.Eval("8") {
 		t.Fatalf("attr cmp: %+v", attr.cmp)
+	}
+}
+
+// A program compiled into a crowded shared symbol table gets dispatch
+// entries for its own names only, found by ID whether the table is scanned
+// or bisected.
+func TestDispatchSizedToOwnNames(t *testing.T) {
+	syms := sax.NewSymbols()
+	for i := 0; i < 10000; i++ {
+		syms.Intern(fmt.Sprintf("unrelated%d", i))
+	}
+	p, err := CompileWith(xpath.MustParse("//a[@id and b]//c[@href]/d"), syms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.elems) != 4 || len(p.attrs) != 2 {
+		t.Fatalf("dispatch entries: %d elements, %d attributes; want 4 and 2", len(p.elems), len(p.attrs))
+	}
+	for _, name := range []string{"a", "b", "c", "d"} {
+		if nodes := p.elems.byID(syms.ID(name)); len(nodes) != 1 || nodes[0].local != name {
+			t.Fatalf("byID(%s) = %v", name, nodes)
+		}
+	}
+	if ids := p.ElemNameIDs(); len(ids) != 4 {
+		t.Fatalf("ElemNameIDs = %v", ids)
+	}
+	if ids := p.AttrNameIDs(); len(ids) != 2 {
+		t.Fatalf("AttrNameIDs = %v", ids)
+	}
+	if p.elems.byID(syms.ID("unrelated7")) != nil || p.elems.byID(sax.SymUnknown) != nil {
+		t.Fatal("an unrelated name resolved to machine nodes")
+	}
+
+	// Past linearMax names the lookup bisects; every name still resolves.
+	var src strings.Builder
+	src.WriteString("//r")
+	for i := 0; i < 3*linearMax; i++ {
+		fmt.Fprintf(&src, "[n%d]", i)
+	}
+	wide, err := CompileWith(xpath.MustParse(src.String()), syms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wide.elems) != 3*linearMax+1 {
+		t.Fatalf("wide program has %d element entries", len(wide.elems))
+	}
+	for i, e := range wide.elems {
+		if i > 0 && wide.elems[i-1].id >= e.id {
+			t.Fatalf("dispatch table not sorted at %d", i)
+		}
+		if got := wide.elems.byID(e.id); len(got) != 1 || got[0].local != e.local {
+			t.Fatalf("byID(%d) = %v, want the %s node", e.id, got, e.local)
+		}
+	}
+	if wide.elems.byID(syms.ID("unrelated9999")) != nil {
+		t.Fatal("bisection resolved an unrelated name")
 	}
 }

@@ -319,18 +319,15 @@ func (r *Run) fail(err error) {
 // ---- event dispatch ----
 
 // elemNodes resolves the element machine nodes whose LOCAL name matches the
-// event: a slice index when the event carries a symbol ID, the name map
-// otherwise. Prefixed name tests re-check their prefix in tryPush.
+// event: by symbol ID when the event carries one, by name otherwise.
+// Prefixed name tests re-check their prefix in tryPush.
 //
 //vitex:hotpath
 func (r *Run) elemNodes(ev *sax.Event) []*node {
 	if id := ev.NameID; id != sax.SymNone {
-		if id > 0 && int(id) < len(r.prog.elemByID) {
-			return r.prog.elemByID[id]
-		}
-		return nil
+		return r.prog.elems.byID(id)
 	}
-	return r.prog.elemIndex[ev.LocalName()]
+	return r.prog.elems.byName(ev.LocalName())
 }
 
 // nameMatches reports whether the event's element name satisfies m's name
@@ -359,12 +356,9 @@ func nameMatches(m *node, ev *sax.Event) bool {
 //vitex:hotpath
 func (r *Run) attrNodes(a *sax.Attr) []*node {
 	if id := a.NameID; id != sax.SymNone {
-		if id > 0 && int(id) < len(r.prog.attrByID) {
-			return r.prog.attrByID[id]
-		}
-		return nil
+		return r.prog.attrs.byID(id)
 	}
-	return r.prog.attrIndex[a.LocalName()]
+	return r.prog.attrs.byName(a.LocalName())
 }
 
 // attrMatches reports whether attribute a is one machine node m names.

@@ -503,14 +503,7 @@ func CompileShared(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 		return CompileWith(q, syms)
 	}
 	compileCount.Add(1)
-	p := &Program{
-		query:     q,
-		syms:      syms,
-		elemIndex: make(map[string][]*node),
-		attrIndex: make(map[string][]*node),
-		anchored:  true,
-		profile:   profile,
-	}
+	p := &Program{query: q, syms: syms, anchored: true, profile: profile}
 	start := q.Root
 	for range profile {
 		start = start.Next
@@ -520,7 +513,6 @@ func CompileShared(q *xpath.Query, syms *sax.Symbols) (*Program, error) {
 		return nil, err
 	}
 	p.root = root
-	p.freezeDispatch()
 	return p, nil
 }
 

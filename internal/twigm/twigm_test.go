@@ -187,8 +187,8 @@ func TestInnerMatchFailsOuterWins(t *testing.T) {
 }
 
 // Child-axis spine with predicate: a candidate confirmed via one chain must
-// not leak through an unrelated chain (the relay-unsoundness regression —
-// see DESIGN.md §5).
+// not leak through an unrelated chain (the relay-unsoundness regression:
+// candidates travel only up the entries of their own match chain).
 func TestChildAxisNoCrossChainLeak(t *testing.T) {
 	// a1 has p and a real chain b1/c1. a2 (no p) has chain b2/c2.
 	// Solutions: only c1.

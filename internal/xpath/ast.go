@@ -140,11 +140,23 @@ func (c *Comparison) Eval(value string) bool {
 	return value != c.Literal // OpNe
 }
 
+// String renders the comparison as it parses back: a number literal as
+// written, a string literal quoted with ' unless it contains one (XPath
+// literals have no escapes, so a literal holding both quote characters
+// cannot be written at all).
 func (c *Comparison) String() string {
 	if c.IsNum {
-		return fmt.Sprintf(" %s %s", c.Op, strconv.FormatFloat(c.Number, 'g', -1, 64))
+		lit := c.Literal
+		if lit == "" {
+			lit = strconv.FormatFloat(c.Number, 'f', -1, 64)
+		}
+		return fmt.Sprintf(" %s %s", c.Op, lit)
 	}
-	return fmt.Sprintf(" %s '%s'", c.Op, c.Literal)
+	quote := "'"
+	if strings.Contains(c.Literal, "'") {
+		quote = `"`
+	}
+	return " " + c.Op.String() + " " + quote + c.Literal + quote
 }
 
 // PredOp is the operator of a predicate-expression node.
@@ -261,7 +273,9 @@ func (p *PredExpr) size() int {
 // Size returns the total number of query nodes — the paper's |Q|.
 func (q *Query) Size() int { return q.Root.Size() }
 
-// String reconstructs a canonical form of the query.
+// String reconstructs a canonical form of the query: it parses back to the
+// same tree, and different trees print differently, so it serves as the
+// query's identity (a query set shares one machine among equal forms).
 func (q *Query) String() string {
 	var b strings.Builder
 	writePath(&b, q.Root)
@@ -322,9 +336,11 @@ func writePred(b *strings.Builder, p *PredExpr) {
 			if i > 0 {
 				b.WriteString(word)
 			}
-			// 'and' binds tighter than 'or': only an 'or' nested in
-			// an 'and' needs parentheses.
-			paren := k.Op == PredOr && p.Op == PredAnd
+			// 'and' binds tighter than 'or', so an 'or' nested in an
+			// 'and' needs parentheses. So does a kid with its parent's
+			// operator: the parser flattens "a and b and c" into one
+			// node, and the nested form must print differently.
+			paren := k.Op == PredOr && p.Op == PredAnd || k.Op == p.Op
 			if paren {
 				b.WriteByte('(')
 			}

@@ -38,18 +38,43 @@ type QuerySet struct {
 	mu      sync.Mutex
 	eng     *engine.Engine
 	entries []setEntry
+	// machines maps a canonical query form (Query.String, every union
+	// branch included) to the engine machines evaluating it: equal queries
+	// share one set of machines, so the set's cost follows its distinct
+	// queries.
+	machines map[string]*machines
 	// machQuery maps dense machine index (the engine snapshot's order) ->
-	// query index. Rebuilt on every mutation; immutable once published, so
-	// Stream can capture it together with the engine snapshot and use both
-	// without the lock.
-	machQuery []int
+	// the ascending indexes of the queries sharing that machine. Immutable
+	// once published, so Stream can capture it together with the engine
+	// snapshot and use both without the lock; a mutation drops it (nil) and
+	// the next View rebuilds it.
+	machQuery [][]int
 }
 
 // setEntry is one standing query: the caller's compiled Query plus the
-// set-engine machines (one per union branch) evaluating it.
+// set-engine machines evaluating it, possibly shared with equal queries.
 type setEntry struct {
-	q     *Query
+	q *Query
+	m *machines
+}
+
+// machines is the set-engine machines (one per union branch) evaluating one
+// canonical query, and the number of set entries sharing them.
+//
+// Sharing is exact. The canonical form parses back to the same tree and
+// different trees print differently (xpath.Query.String), so sharers have
+// identical query trees and therefore identical compiled machines. A
+// machine's trajectory (stack entries, candidates, Seq numbering, the
+// event indexes stamped as ConfirmedAt/DeliveredAt) is a function of its
+// query tree and the event stream alone; nothing in it depends on which
+// or how many queries stand beside it. So the one shared run produces,
+// result for result, what each sharer's own machine would have, and the
+// fan-out hands every sharer that same sequence. Union sharers have equal
+// branch lists, so their per-query dedup and ordered flush agree too.
+type machines struct {
+	key   string
 	progs []*twigm.Program
+	refs  int
 }
 
 // SetConfig tunes QuerySet construction.
@@ -70,7 +95,7 @@ func NewQuerySet(sources ...string) (*QuerySet, error) {
 
 // NewQuerySetConfigured is NewQuerySet with explicit configuration.
 func NewQuerySetConfigured(cfg SetConfig, sources ...string) (*QuerySet, error) {
-	qs := &QuerySet{}
+	qs := &QuerySet{machines: make(map[string]*machines)}
 	var err error
 	ecfg := engine.Config{DisablePrefixSharing: cfg.DisablePrefixSharing}
 	if qs.eng, err = engine.NewConfigured(ecfg); err != nil {
@@ -89,27 +114,54 @@ func NewQuerySetConfigured(cfg SetConfig, sources ...string) (*QuerySet, error) 
 }
 
 // Add appends an already-compiled query to the live set and returns its
-// query index. Only the new query is compiled into the shared dispatch
-// index; the existing machines, routing tables and pooled sessions are
-// untouched. Streams already running keep the membership they started with.
+// query index. A query equal to one already standing (same canonical form)
+// shares that query's machines and compiles nothing; otherwise only the new
+// query is compiled into the shared dispatch index, and the existing
+// machines, routing tables and pooled sessions are untouched. Streams
+// already running keep the membership they started with.
 func (qs *QuerySet) Add(q *Query) (int, error) {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	progs, err := qs.addMachinesLocked(q)
+	m, err := qs.acquireLocked(q)
 	if err != nil {
 		return 0, err
 	}
-	qi := len(qs.entries)
-	qs.entries = append(qs.entries, setEntry{q: q, progs: progs})
-	// Added machines take fresh slots at the end of the dense order; the
-	// published view is copy-on-write (in-flight Streams hold the old one).
-	mq := make([]int, len(qs.machQuery), len(qs.machQuery)+len(progs))
-	copy(mq, qs.machQuery)
-	for range progs {
-		mq = append(mq, qi)
+	qs.entries = append(qs.entries, setEntry{q: q, m: m})
+	qs.machQuery = nil
+	return len(qs.entries) - 1, nil
+}
+
+// acquireLocked takes one reference on the machines evaluating q, compiling
+// them into the set engine when no equal query stands.
+func (qs *QuerySet) acquireLocked(q *Query) (*machines, error) {
+	key := q.String()
+	if m := qs.machines[key]; m != nil {
+		m.refs++
+		return m, nil
 	}
-	qs.machQuery = mq
-	return qi, nil
+	progs, err := qs.addMachinesLocked(q)
+	if err != nil {
+		return nil, err
+	}
+	m := &machines{key: key, progs: progs, refs: 1}
+	qs.machines[key] = m
+	return m, nil
+}
+
+// releaseLocked drops one reference on m, removing its machines from the
+// engine with the last one.
+func (qs *QuerySet) releaseLocked(m *machines) error {
+	if m.refs--; m.refs > 0 {
+		return nil
+	}
+	delete(qs.machines, m.key)
+	var firstErr error
+	for _, p := range m.progs {
+		if err := qs.eng.Remove(p); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // addMachinesLocked compiles q's branches into the set engine, rolling back
@@ -130,50 +182,40 @@ func (qs *QuerySet) addMachinesLocked(q *Query) ([]*twigm.Program, error) {
 }
 
 // Remove deletes query i from the live set. Queries after i shift down one
-// index (slice semantics). The removed machines are tombstoned — not
-// recompiled around — and their routing-table slots are reclaimed by a
-// compaction pass once tombstones accumulate. Streams already running still
-// deliver the removed query's results; later streams do not.
+// index (slice semantics). Machines still shared with an equal query stay;
+// the last sharer's machines are tombstoned — not recompiled around — and
+// their routing-table slots are reclaimed by a compaction pass once
+// tombstones accumulate. Streams already running still deliver the removed
+// query's results; later streams do not.
 func (qs *QuerySet) Remove(i int) error {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	if i < 0 || i >= len(qs.entries) {
 		return fmt.Errorf("vitex: Remove(%d) on a set of %d queries", i, len(qs.entries))
 	}
-	for _, p := range qs.entries[i].progs {
-		if err := qs.eng.Remove(p); err != nil {
-			return err
-		}
-	}
+	err := qs.releaseLocked(qs.entries[i].m)
 	qs.entries = append(qs.entries[:i], qs.entries[i+1:]...)
-	// Drop the removed machines from the dense view and shift the query
-	// indexes above i down by one (slice semantics), copy-on-write.
-	mq := make([]int, 0, len(qs.machQuery))
-	for _, qi := range qs.machQuery {
-		if qi == i {
-			continue
-		}
-		if qi > i {
-			qi--
-		}
-		mq = append(mq, qi)
-	}
-	qs.machQuery = mq
-	return nil
+	qs.machQuery = nil
+	return err
 }
 
-// Replace swaps query i for q, keeping index i. Only q is compiled; when the
-// branch counts match, the new machines reuse the old machines' dispatch
-// slots, so the set's machine ordering is unchanged.
+// Replace swaps query i for q, keeping index i. Only q is compiled, and not
+// even q when an equal query already stands. When query i was the only user
+// of its machines and the branch counts match, the new machines reuse the
+// old machines' dispatch slots, so the set's machine ordering is unchanged.
 func (qs *QuerySet) Replace(i int, q *Query) error {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	if i < 0 || i >= len(qs.entries) {
 		return fmt.Errorf("vitex: Replace(%d) on a set of %d queries", i, len(qs.entries))
 	}
-	old := qs.entries[i]
-	if len(q.progs) == len(old.progs) {
-		progs := make([]*twigm.Program, len(q.progs))
+	old := qs.entries[i].m
+	key := q.String()
+	if key == old.key {
+		qs.entries[i].q = q
+		return nil
+	}
+	if old.refs == 1 && qs.machines[key] == nil && len(q.progs) == len(old.progs) {
 		for b, bp := range q.progs {
 			p, err := qs.eng.Replace(old.progs[b], bp.Query())
 			if err != nil {
@@ -182,48 +224,45 @@ func (qs *QuerySet) Replace(i int, q *Query) error {
 				// resource exhaustion; there is no clean unwind.)
 				return err
 			}
-			progs[b] = p
 			old.progs[b] = p
 		}
 		// Slots (and so dense positions) are reused: the view is unchanged.
-		qs.entries[i] = setEntry{q: q, progs: progs}
+		delete(qs.machines, old.key)
+		old.key = key
+		qs.machines[key] = old
+		qs.entries[i].q = q
 		return nil
 	}
-	progs, err := qs.addMachinesLocked(q)
+	m, err := qs.acquireLocked(q)
 	if err != nil {
 		return err
 	}
-	qs.entries[i] = setEntry{q: q, progs: progs}
-	// Remove the old machines after installing the new entry, then rebuild
-	// the view unconditionally: even if a Remove fails (an engine-invariant
-	// break — the set added these machines itself), the published view must
-	// match the engine snapshot so later Streams fail loudly here, not with
-	// an out-of-range panic on an unrelated call.
-	var firstErr error
-	for _, p := range old.progs {
-		if err := qs.eng.Remove(p); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	qs.rebuildViewLocked()
-	return firstErr
+	qs.entries[i] = setEntry{q: q, m: m}
+	qs.machQuery = nil
+	return qs.releaseLocked(old)
 }
 
-// rebuildViewLocked recomputes the dense-machine -> query mapping against
-// the engine's current snapshot. O(machines) bookkeeping, no compilation.
-func (qs *QuerySet) rebuildViewLocked() {
-	owner := make(map[*twigm.Program]int, len(qs.entries))
-	for qi := range qs.entries {
-		for _, p := range qs.entries[qi].progs {
-			owner[p] = qi
-		}
+// viewLocked returns the dense-machine -> sharing-queries mapping for the
+// engine's current snapshot, rebuilding it after a mutation.
+// O(machines + queries) bookkeeping, no compilation.
+func (qs *QuerySet) viewLocked() [][]int {
+	if qs.machQuery != nil {
+		return qs.machQuery
 	}
 	progs := qs.eng.Snapshot().Programs()
-	machQuery := make([]int, len(progs))
+	dense := make(map[*twigm.Program]int, len(progs))
 	for d, p := range progs {
-		machQuery[d] = owner[p]
+		dense[p] = d
+	}
+	machQuery := make([][]int, len(progs))
+	for qi, e := range qs.entries {
+		for _, p := range e.m.progs {
+			d := dense[p]
+			machQuery[d] = append(machQuery[d], qi)
+		}
 	}
 	qs.machQuery = machQuery
+	return machQuery
 }
 
 // QuerySetView pins one membership snapshot of a live QuerySet: every Stream
@@ -233,19 +272,21 @@ func (qs *QuerySet) rebuildViewLocked() {
 // a view and its own bookkeeping under one lock, so a subscription added or
 // removed concurrently with an in-flight document can never shift the
 // QueryIndex a result is tagged with. Views are cheap (one atomic load plus
-// two word copies) and safe for concurrent use.
+// a few word copies; the first view after a mutation also rebuilds the
+// machine -> query mapping, O(machines)) and safe for concurrent use.
 type QuerySetView struct {
 	snap      engine.Snapshot
-	machQuery []int
+	machQuery [][]int
 	nq        int
 }
 
 // View captures the set's current membership as an immutable view. Views
-// are values; capturing one allocates nothing.
+// are values; capturing one allocates nothing unless the set changed since
+// the last capture.
 func (qs *QuerySet) View() QuerySetView {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	return QuerySetView{snap: qs.eng.Snapshot(), machQuery: qs.machQuery, nq: len(qs.entries)}
+	return QuerySetView{snap: qs.eng.Snapshot(), machQuery: qs.viewLocked(), nq: len(qs.entries)}
 }
 
 // Len returns the number of queries in the view.
@@ -278,6 +319,13 @@ type SetResult struct {
 // order (or per-query document order with Options.Ordered). It returns
 // per-query statistics; scan-level counters (Events, Elements, MaxDepth)
 // describe the one shared scan and are identical across queries.
+//
+// Equal queries share one machine, whose every solution is handed to each
+// sharer in ascending query order: each query's results (Value, Seq,
+// NodeOffset, ConfirmedAt, DeliveredAt and their order) are exactly those
+// it gets standing alone. Across queries, the solutions delivered at one
+// event (equal DeliveredAt) come out grouped by machine, so a query sharing
+// a machine receives its copy next to its lowest-indexed sharer's.
 func (qs *QuerySet) Stream(r io.Reader, opts Options, emit func(SetResult) error) ([]Stats, error) {
 	return qs.View().Stream(r, opts, emit)
 }
@@ -289,17 +337,20 @@ func (v QuerySetView) Stream(r io.Reader, opts Options, emit func(SetResult) err
 	// Union branches within one query share a dedup set; ordered union
 	// results are buffered and flushed in document order at end of scan
 	// with their Seq renumbered densely per query (branch-local Seqs are
-	// incomparable).
+	// incomparable). Every machine of a union has the same sharers, so
+	// the first sharer's set serves them all.
 	branches := make([]int, nq)
-	for _, qi := range machQuery {
-		branches[qi]++
+	for _, qis := range machQuery {
+		for _, qi := range qis {
+			branches[qi]++
+		}
 	}
 	seen := make([]map[int64]bool, nq)
 	var held []SetResult
 	topts := make([]twigm.Options, snap.Len())
 	for j := range topts {
-		qi := machQuery[j]
-		union := branches[qi] > 1
+		qis := machQuery[j]
+		union := branches[qis[0]] > 1
 		topts[j] = twigm.Options{
 			Ordered:   opts.Ordered && !union,
 			CountOnly: opts.CountOnly,
@@ -308,29 +359,38 @@ func (v QuerySetView) Stream(r io.Reader, opts Options, emit func(SetResult) err
 		if emit == nil {
 			continue
 		}
-		if union && seen[qi] == nil {
-			seen[qi] = make(map[int64]bool)
+		if union && seen[qis[0]] == nil {
+			seen[qis[0]] = make(map[int64]bool)
 		}
+		dedup := seen[qis[0]]
 		topts[j].Emit = func(tr twigm.Result) error {
 			if union {
-				if seen[qi][tr.NodeOffset] {
+				if dedup[tr.NodeOffset] {
 					return nil
 				}
-				seen[qi][tr.NodeOffset] = true
+				dedup[tr.NodeOffset] = true
 				if opts.Ordered {
-					held = append(held, SetResult{QueryIndex: qi, Result: Result(tr)})
+					for _, qi := range qis {
+						held = append(held, SetResult{QueryIndex: qi, Result: Result(tr)})
+					}
 					return nil
 				}
 			}
-			return emit(SetResult{QueryIndex: qi, Result: Result(tr)})
+			for _, qi := range qis {
+				if err := emit(SetResult{QueryIndex: qi, Result: Result(tr)}); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 	}
 	mstats, err := streamEngine(snap, r, opts, topts)
 	stats := make([]Stats, nq)
 	perQuery := make([][]twigm.Stats, nq)
 	for d := range mstats {
-		qi := machQuery[d]
-		perQuery[qi] = append(perQuery[qi], mstats[d])
+		for _, qi := range machQuery[d] {
+			perQuery[qi] = append(perQuery[qi], mstats[d])
+		}
 	}
 	for qi := range stats {
 		stats[qi] = engine.MergeStats(perQuery[qi])
