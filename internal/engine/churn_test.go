@@ -238,9 +238,10 @@ func TestShardRebalanceIsLocal(t *testing.T) {
 	if got := e.Metrics().ShardRebalances; got != 0 {
 		t.Fatalf("initial build counted %d rebalances", got)
 	}
-	tables := make([]subTable, workers)
+	elemTables := make([]subTable, workers)
+	attrTables := make([]subTable, workers)
 	for wi, w := range ps.workers {
-		tables[wi] = w.rt.elemSubs
+		elemTables[wi], attrTables[wi] = w.rt.elemSubs, w.rt.attrSubs
 	}
 	if _, err := e.Add(xpath.MustParse("//trade/price")); err != nil {
 		t.Fatal(err)
@@ -250,10 +251,27 @@ func TestShardRebalanceIsLocal(t *testing.T) {
 		t.Fatalf("one Add rebalanced %d shards, want 1", d)
 	}
 	// Slot 8 hashes to shard 0; shards 1-3 must keep their exact tables.
+	// A rebuild allocates fresh chunks with equal contents, so compare the
+	// chunks by identity.
+	sameChunks := func(a, b subTable) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for c := range a {
+			if a[c] != b[c] {
+				return false
+			}
+		}
+		return true
+	}
 	for wi := 1; wi < workers; wi++ {
-		if !reflect.DeepEqual(ps.workers[wi].rt.elemSubs, tables[wi]) {
+		rt := &ps.workers[wi].rt
+		if !sameChunks(rt.elemSubs, elemTables[wi]) || !sameChunks(rt.attrSubs, attrTables[wi]) {
 			t.Fatalf("shard %d tables rebuilt by an Add outside it", wi)
 		}
+	}
+	if sameChunks(ps.workers[0].rt.elemSubs, elemTables[0]) {
+		t.Fatal("shard 0 tables not rebuilt by an Add into it")
 	}
 	// End-to-end: the resynced sharded path evaluates the grown set.
 	out, _ := streamValues(t, e.Snapshot(), churnDoc, workers)

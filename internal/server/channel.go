@@ -578,7 +578,6 @@ func (c *channel) metrics() ChannelMetrics {
 		LiveQueries:   c.qs.Len(),
 		Engine:        c.qs.Metrics(),
 	}
-	cm.LiveMachines = cm.Engine.Live
 	lat := &LatencyMetrics{
 		PublishToAck:      c.pubAck.Snapshot().Stats(),
 		PublishToDelivery: c.pubDeliver.Snapshot().Stats(),

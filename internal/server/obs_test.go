@@ -360,8 +360,8 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	cm := m.Channels["ticker"]
-	if cm.LiveQueries != 3 || cm.LiveMachines != 4 {
-		t.Fatalf("JSON live_queries/live_machines = %d/%d, want 3/4", cm.LiveQueries, cm.LiveMachines)
+	if cm.LiveQueries != 3 || cm.Engine.Live != 4 {
+		t.Fatalf("JSON live_queries/engine.live = %d/%d, want 3/4", cm.LiveQueries, cm.Engine.Live)
 	}
 	if cm.Latency == nil || cm.Latency.PublishToAck.Count != docs {
 		t.Fatalf("JSON latency = %+v, want publish_to_ack count %d", cm.Latency, docs)

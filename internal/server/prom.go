@@ -99,7 +99,7 @@ func writePrometheus(w io.Writer, b *Broker) {
 	gauge("vitex_engine_live_queries", "Standing queries in the set.",
 		func(p promChannel) (int64, bool) { return int64(p.cm.LiveQueries), true })
 	gauge("vitex_engine_live_machines", "Engine machines evaluating the set (equal queries share).",
-		func(p promChannel) (int64, bool) { return int64(p.cm.LiveMachines), true })
+		func(p promChannel) (int64, bool) { return int64(p.cm.Engine.Live), true })
 	gauge("vitex_engine_garbage_slots", "Removed slots awaiting compaction.",
 		func(p promChannel) (int64, bool) { return int64(p.cm.Engine.Garbage), true })
 	gauge("vitex_engine_trie_nodes", "Live shared-prefix-trie nodes.",

@@ -161,11 +161,9 @@ type ChannelMetrics struct {
 	// broker).
 	WAL *WALMetrics `json:"wal,omitempty"`
 	// LiveQueries is the number of standing queries in the channel's
-	// QuerySet; LiveMachines is the number of engine machines evaluating
-	// them: one per union branch of each distinct query, since equal
-	// queries share their machines.
-	LiveQueries  int `json:"live_queries"`
-	LiveMachines int `json:"live_machines"`
+	// QuerySet. Engine.Live counts the machines evaluating them: one per
+	// union branch of each distinct query, since equal queries share.
+	LiveQueries int `json:"live_queries"`
 	// Engine is the channel's live-QuerySet churn accounting (compiles,
 	// epochs, compactions, slot occupancy).
 	Engine engine.Metrics `json:"engine"`

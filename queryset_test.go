@@ -112,6 +112,34 @@ func TestQuerySetRemove(t *testing.T) {
 	}
 }
 
+// A machine in the engine that no query owns (what a failed engine Remove
+// would leave behind) must not break later streams: it emits nothing and
+// the owned queries' results are unchanged.
+func TestQuerySetOrphanMachine(t *testing.T) {
+	qs, err := NewQuerySet("//a", "//b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qs.eng.Add(xpath.MustParse("//a")); err != nil {
+		t.Fatal(err)
+	}
+	qs.machQuery = nil
+	doc := "<r><a/><b/><a/></r>"
+	for _, opts := range []Options{{}, {Ordered: true}, {CountOnly: true}, {Parallel: 2}} {
+		var got []int
+		stats, err := qs.Stream(strings.NewReader(doc), opts, func(sr SetResult) error {
+			got = append(got, sr.QueryIndex)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stats) != 2 || len(got) != 3 {
+			t.Fatalf("opts %+v: %d stats, results from queries %v", opts, len(stats), got)
+		}
+	}
+}
+
 func TestQuerySetReplace(t *testing.T) {
 	qs, err := NewQuerySet("//a", "//b")
 	if err != nil {
