@@ -358,37 +358,46 @@ func BenchmarkQuerySetSparse(b *testing.B) {
 }
 
 // BenchmarkQuerySetParallel contrasts serial routed dispatch against the
-// sharded multi-core mode on the sparse 100-query standing set (the
-// workload whose results must be byte-identical between the two). The
-// speedup scales with GOMAXPROCS: on a single-core host the parallel arm
-// only measures the pipeline overhead.
+// sharded multi-core mode at two scales: the sparse 100-query ticker set
+// (the workload whose results must be byte-identical between the two) and
+// 10,000 overlapping subscriptions over a 1,000-article Portal feed, where
+// machine work dominates the scan. The speedup scales with GOMAXPROCS: on a
+// single-core host the parallel arm only measures the pipeline overhead.
 func BenchmarkQuerySetParallel(b *testing.B) {
-	doc := datagen.Ticker{Trades: 2000, Seed: 1}.String()
-	sources := datagen.SparseTickerQueries(10, 90)
-	qs, err := NewQuerySet(sources...)
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name    string
+		doc     string
+		sources []string
+	}{
+		{"ticker100", datagen.Ticker{Trades: 2000, Seed: 1}.String(), datagen.SparseTickerQueries(10, 90)},
+		{"portal10000", datagen.Portal{Articles: 1000, Seed: 1}.String(), datagen.OverlapQueries(10000, 0.9, 0, 0, 42)},
 	}
-	run := func(b *testing.B, opts Options) {
-		// Warm the session pool so the steady state is measured.
-		if _, err := qs.Stream(strings.NewReader(doc), opts, nil); err != nil {
+	for _, c := range cases {
+		qs, err := NewQuerySet(c.sources...)
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(len(doc)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := qs.Stream(strings.NewReader(doc), opts, nil); err != nil {
+		run := func(b *testing.B, opts Options) {
+			// Warm the session pool so the steady state is measured.
+			if _, err := qs.Stream(strings.NewReader(c.doc), opts, nil); err != nil {
 				b.Fatal(err)
 			}
+			b.SetBytes(int64(len(c.doc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := qs.Stream(strings.NewReader(c.doc), opts, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
+		b.Run(c.name+"/serial", func(b *testing.B) {
+			run(b, Options{CountOnly: true})
+		})
+		b.Run(fmt.Sprintf("%s/parallel%d", c.name, runtime.GOMAXPROCS(0)), func(b *testing.B) {
+			run(b, Options{CountOnly: true, Parallel: -1})
+		})
 	}
-	b.Run("serial", func(b *testing.B) {
-		run(b, Options{CountOnly: true})
-	})
-	b.Run(fmt.Sprintf("parallel%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		run(b, Options{CountOnly: true, Parallel: -1})
-	})
 }
 
 // BenchmarkQuerySetChurn measures subscription churn on a live 100-query
@@ -398,7 +407,10 @@ func BenchmarkQuerySetParallel(b *testing.B) {
 // of a mutation: rebuild the whole shared engine from the 101 parsed
 // queries. The incremental path must be at least 10x cheaper at this size
 // (it is typically two orders of magnitude; TestChurnCheaperThanRecompile
-// asserts the floor).
+// asserts the floor). The parallel2 arms serve a document between the Add
+// and the Remove with two shard workers, so every op also pays the sharded
+// session's resync after each epoch change, on the 100-query ticker set and
+// on 10,000 overlapping Portal subscriptions.
 func BenchmarkQuerySetChurn(b *testing.B) {
 	sources := datagen.SparseTickerQueries(10, 90)
 	extra := MustCompile("//trade[symbol='CHURNX']/price")
@@ -419,6 +431,39 @@ func BenchmarkQuerySetChurn(b *testing.B) {
 			}
 		}
 	})
+	parallel := []struct {
+		name    string
+		doc     string
+		sources []string
+		extra   *Query
+	}{
+		{"ticker100", datagen.Ticker{Trades: 100, Seed: 1}.String(), sources, extra},
+		{"portal10000", datagen.Portal{Articles: 20, Seed: 1}.String(), datagen.OverlapQueries(10000, 0.9, 0, 0, 42),
+			MustCompile("//channel//article/head/f7[. = 'churnx']")},
+	}
+	for _, c := range parallel {
+		qs, err := NewQuerySet(c.sources...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("parallel2/"+c.name, func(b *testing.B) {
+			opts := Options{CountOnly: true, Parallel: 2}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx, err := qs.Add(c.extra)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := qs.Stream(strings.NewReader(c.doc), opts, nil); err != nil {
+					b.Fatal(err)
+				}
+				if err := qs.Remove(idx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("fullRecompile", func(b *testing.B) {
 		parsed := make([]*xpath.Query, 0, len(sources)+1)
 		for _, src := range append(append([]string(nil), sources...), extra.Source()) {

@@ -56,14 +56,6 @@ type BenchRecord struct {
 	AnchoredMachines   int     `json:"anchored_machines,omitempty"`
 	WokenPerEvent      float64 `json:"machines_woken_per_event"`
 	TriePushesPerEvent float64 `json:"trie_pushes_per_event"`
-
-	// Hot-path attribution (engine.HotStats, sampled in a separate pass
-	// after the timed loop so the clock reads never touch the measured
-	// numbers): how the serial per-event cost splits across scan+routing,
-	// the shared prefix trie, and residual-machine dispatch.
-	ScanNsPerEvent    float64 `json:"scan_ns_per_event,omitempty"`
-	TrieNsPerEvent    float64 `json:"trie_ns_per_event,omitempty"`
-	MachineNsPerEvent float64 `json:"machine_ns_per_event,omitempty"`
 }
 
 // benchWorkloads runs the engine benchmark suite — the original ticker
@@ -92,11 +84,7 @@ func benchWorkloads(dir string, trades int, overlap float64, smoke bool, out io.
 		noshare bool
 		doc     string
 		metrics func() engine.Metrics
-		// hotstats toggles the QuerySet's hot-path sampling for the
-		// post-measure attribution pass (nil when the workload has no set
-		// or runs sharded, where the serial attribution would read zero).
-		hotstats func(every int)
-		run      func() (events int64, peak int, results int64, err error)
+		run     func() (events int64, peak int, results int64, err error)
 	}
 	setRunnerOpts := func(qs *vitex.QuerySet, doc string, opts vitex.Options) func() (int64, int, int64, error) {
 		return func() (int64, int, int64, error) {
@@ -124,8 +112,7 @@ func benchWorkloads(dir string, trades int, overlap float64, smoke bool, out io.
 		}
 		return workload{
 			name: name, queries: n, overlap: overlap, noshare: noshare,
-			doc: portalDoc, metrics: qs.Metrics, hotstats: qs.EnableHotStats,
-			run: setRunner(qs, portalDoc),
+			doc: portalDoc, metrics: qs.Metrics, run: setRunner(qs, portalDoc),
 		}, nil
 	}
 
@@ -136,8 +123,7 @@ func benchWorkloads(dir string, trades int, overlap float64, smoke bool, out io.
 	}
 	workloads = append(workloads, workload{
 		name: "queryset_100", queries: 100, doc: doc,
-		metrics: qs100.Metrics, hotstats: qs100.EnableHotStats,
-		run: setRunner(qs100, doc),
+		metrics: qs100.Metrics, run: setRunner(qs100, doc),
 	})
 	w1000, err := overlapWorkload("queryset_1000", 1000, false)
 	if err != nil {
@@ -222,25 +208,6 @@ func benchWorkloads(dir string, trades int, overlap float64, smoke bool, out io.
 		}
 		rec.Overlap = w.overlap
 		rec.SharingDisabled = w.noshare
-		if w.hotstats != nil {
-			// Attribution runs AFTER the timed loop: hot-stats sampling adds
-			// clock pairs to the routed hot path, so it must never be live
-			// while ns_per_event is being measured.
-			w.hotstats(1)
-			m0 := w.metrics()
-			for i := 0; i < 3; i++ {
-				if _, _, _, err := w.run(); err != nil {
-					return fmt.Errorf("%s: attribution pass: %w", w.name, err)
-				}
-			}
-			m1 := w.metrics()
-			w.hotstats(0)
-			if de := m1.Hot.Events - m0.Hot.Events; de > 0 {
-				rec.ScanNsPerEvent = float64(m1.Hot.ScanNs-m0.Hot.ScanNs) / float64(de)
-				rec.TrieNsPerEvent = float64(m1.Hot.TrieNs-m0.Hot.TrieNs) / float64(de)
-				rec.MachineNsPerEvent = float64(m1.Hot.MachineNs-m0.Hot.MachineNs) / float64(de)
-			}
-		}
 		path := filepath.Join(dir, "BENCH_"+w.name+".json")
 		data, err := json.MarshalIndent(rec, "", "  ")
 		if err != nil {

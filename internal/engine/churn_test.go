@@ -220,66 +220,6 @@ func TestReplaceReusesSlot(t *testing.T) {
 	}
 }
 
-// TestShardRebalanceIsLocal: a parallel session resyncing after one Add
-// rebuilds the routing tables of exactly one shard (the one the new slot
-// hashes to); the other shards keep their tables untouched. Driven against
-// the session directly — sync.Pool gives no retention guarantee (it
-// deliberately drops entries under the race detector), so the pooled path
-// cannot assert shard counts deterministically.
-func TestShardRebalanceIsLocal(t *testing.T) {
-	sources := make([]string, 8)
-	for i := range sources {
-		sources[i] = fmt.Sprintf("//sub%d", i)
-	}
-	e := mustEngine(t, sources...)
-	const workers = 4
-	ps := newPsession(e, workers)
-	ps.sync(e.cur.Load()) // initial build: not a rebalance
-	if got := e.Metrics().ShardRebalances; got != 0 {
-		t.Fatalf("initial build counted %d rebalances", got)
-	}
-	elemTables := make([]subTable, workers)
-	attrTables := make([]subTable, workers)
-	for wi, w := range ps.workers {
-		elemTables[wi], attrTables[wi] = w.rt.elemSubs, w.rt.attrSubs
-	}
-	if _, err := e.Add(xpath.MustParse("//trade/price")); err != nil {
-		t.Fatal(err)
-	}
-	ps.sync(e.cur.Load())
-	if d := e.Metrics().ShardRebalances; d != 1 {
-		t.Fatalf("one Add rebalanced %d shards, want 1", d)
-	}
-	// Slot 8 hashes to shard 0; shards 1-3 must keep their exact tables.
-	// A rebuild allocates fresh chunks with equal contents, so compare the
-	// chunks by identity.
-	sameChunks := func(a, b subTable) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for c := range a {
-			if a[c] != b[c] {
-				return false
-			}
-		}
-		return true
-	}
-	for wi := 1; wi < workers; wi++ {
-		rt := &ps.workers[wi].rt
-		if !sameChunks(rt.elemSubs, elemTables[wi]) || !sameChunks(rt.attrSubs, attrTables[wi]) {
-			t.Fatalf("shard %d tables rebuilt by an Add outside it", wi)
-		}
-	}
-	if sameChunks(ps.workers[0].rt.elemSubs, elemTables[0]) {
-		t.Fatal("shard 0 tables not rebuilt by an Add into it")
-	}
-	// End-to-end: the resynced sharded path evaluates the grown set.
-	out, _ := streamValues(t, e.Snapshot(), churnDoc, workers)
-	if len(out[8]) != 2 {
-		t.Fatalf("added machine results = %q", out[8])
-	}
-}
-
 // TestChurnedEngineMatchesFresh drives a random Add/Remove/Replace walk and,
 // after every mutation, checks the churned engine's full output — values and
 // stats, serial and sharded — against a freshly compiled engine over the

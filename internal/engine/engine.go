@@ -56,6 +56,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,7 +91,6 @@ type Engine struct {
 	// Churn accounting (see Metrics).
 	compiles        atomic.Int64
 	compactions     atomic.Int64
-	shardRebalances atomic.Int64
 	trieGrafts      atomic.Int64
 	triePrunes      atomic.Int64
 	trieCompactions atomic.Int64
@@ -104,18 +104,6 @@ type Engine struct {
 	// evalHist records each serial stream's evaluation cost as ns/event:
 	// two clock reads per document, so it is always on.
 	evalHist obs.Histogram
-
-	// Hot-path attribution sampling (EnableHotStats): every hotEvery-th
-	// serial stream runs the timed route variant, which splits the
-	// stream's wall clock into scan, shared-trie and machine-delivery
-	// nanoseconds. Accumulators are cumulative; see Metrics.Hot.
-	hotEvery     atomic.Int64
-	hotTick      atomic.Int64
-	hotStreams   atomic.Int64
-	hotEvents    atomic.Int64
-	hotScanNs    atomic.Int64
-	hotTrieNs    atomic.Int64
-	hotMachineNs atomic.Int64
 
 	// scanBatch is the per-stream event-batch override (SetScanBatch):
 	// 0 = scanner default, < 0 = batching disabled (per-event delivery).
@@ -142,13 +130,6 @@ func (e *Engine) scanBatchEvents() int {
 		return int(n)
 	}
 }
-
-// EnableHotStats makes every every-th serial Stream run with timed routing,
-// attributing its wall clock across scan, shared-trie and machine stages
-// (Metrics.Hot). every <= 0 disables sampling (the default); 1 times every
-// stream. Timed streams pay two clock reads per event, so sample sparsely
-// on hot services. Parallel evaluation is never timed.
-func (e *Engine) EnableHotStats(every int) { e.hotEvery.Store(int64(every)) }
 
 // EvalHistogram returns the distribution of per-stream evaluation cost in
 // nanoseconds per scan event, cumulative over the engine's lifetime.
@@ -285,9 +266,6 @@ func (s Snapshot) StreamContext(ctx context.Context, r io.Reader, useStdParser b
 	ses.sync(ep)
 	ses.reset(opts)
 	ses.ctx, ses.done = ctx, ctx.Done()
-	if every := e.hotEvery.Load(); every > 0 && e.hotTick.Add(1)%every == 0 {
-		ses.rt.timed = true
-	}
 
 	var drv sax.Driver
 	if useStdParser {
@@ -312,20 +290,6 @@ func (s Snapshot) StreamContext(ctx context.Context, r io.Reader, useStdParser b
 	e.triePushes.Add(ses.rt.prun.Pushes())
 	if ses.events > 0 {
 		e.evalHist.ObserveNs(durNs / ses.events)
-	}
-	if ses.rt.timed {
-		ses.rt.timed = false
-		e.hotStreams.Add(1)
-		e.hotEvents.Add(ses.events)
-		e.hotTrieNs.Add(ses.rt.trieNs)
-		e.hotMachineNs.Add(ses.rt.machineNs)
-		// Scan is the remainder: everything the stream spent outside
-		// trie pushes and machine deliveries (parsing, routing-table
-		// lookups). Clamp against clock skew on near-empty documents.
-		if scan := durNs - ses.rt.trieNs - ses.rt.machineNs; scan > 0 {
-			e.hotScanNs.Add(scan)
-		}
-		ses.rt.trieNs, ses.rt.machineNs = 0, 0
 	}
 	stats := make([]twigm.Stats, len(ep.live))
 	for d, slot := range ep.live {
@@ -386,14 +350,15 @@ func (s *session) sync(ep *epoch) {
 	}
 	s.runs = rekeyRuns(s.ep, s.runs, ep)
 	s.ep = ep
-	s.rt.init(s.runs, ep.elemSubs, ep.attrSubs, ep.wild, ep.live, ep.trie, nil)
+	s.rt.init(s.runs, ep, ep.live, nil)
 }
 
 // rekeyRuns rebuilds a session's slot-indexed run slice for a new epoch,
 // re-keying existing runs by program identity: machines untouched by the
 // mutation — including machines moved to new slots by compaction — keep
 // their warmed-up run state; only added or replaced machines start fresh
-// runs. Shared by the serial and parallel session resyncs so the reuse
+// runs. Both session resyncs are this plus router.init (one router for the
+// serial session, one per shard worker for the parallel one), so the reuse
 // semantics cannot drift between the two evaluation modes.
 func rekeyRuns(old *epoch, oldRuns []*twigm.Run, ep *epoch) []*twigm.Run {
 	var byProg map[*twigm.Program]*twigm.Run
@@ -526,21 +491,22 @@ func (s *session) HandleBatch(evs []sax.Event) error {
 	return nil
 }
 
-// router routes scan events to a set of machines: the static subscription
-// tables restricted to the machines it routes for, the dynamic membership
-// sets, and the per-event subscriber scratch. The serial session routes over
-// all machines with the engine-wide tables; each shard worker of the
-// parallel mode routes over its shard with shard-filtered tables. One
-// implementation for both is what keeps the parallel mode's
+// router routes scan events to a set of machines: the epoch's static
+// subscription tables, the machines it routes for, the dynamic membership
+// sets, and the per-event subscriber scratch. Every router reads the
+// epoch's own tables. The serial session routes for all live machines; each
+// shard worker of the parallel mode routes for its shard's machines, and
+// skips the other shards' subscribers through its dedup stamps (see init).
+// One implementation for both is what keeps the parallel mode's
 // byte-identical-to-serial guarantee from drifting.
 //
 //vitex:pooled
 type router struct {
-	runs []*twigm.Run //vitex:keep rewired by init/rehost on resync, not per stream
+	runs []*twigm.Run //vitex:keep rewired by init on resync, not per stream
 
-	elemSubs subTable //vitex:keep subscription tables, rebuilt only on resync
-	attrSubs subTable //vitex:keep subscription tables, rebuilt only on resync
-	wild     []int32  //vitex:keep subscription tables, rebuilt only on resync
+	elemSubs subTable //vitex:keep the epoch's subscription tables, set by init
+	attrSubs subTable //vitex:keep the epoch's subscription tables, set by init
+	wild     []int32  //vitex:keep the epoch's subscription tables, set by init
 	machines []int32  //vitex:keep routed-machine set, rebuilt only on resync
 
 	// Dynamic routing sets. endSet holds machines with live stack entries
@@ -552,7 +518,9 @@ type router struct {
 	textSet denseSet
 	fullSet denseSet
 
-	// Per-event dedup of the start-element subscriber union.
+	// Per-event dedup of the start-element subscriber union. Slots the
+	// router does not route for hold math.MaxInt64, so they never look
+	// fresh and never enter the union.
 	stamps  []int64 //vitex:keep dedup stamps; stamp monotonicity makes stale entries harmless
 	stamp   int64   //vitex:keep monotonic epoch for stamps, must never rewind
 	scratch []int32 //vitex:keep reusable subscriber buffer, overwritten per event
@@ -570,50 +538,34 @@ type router struct {
 
 	// deliveries counts machine wake-ups this stream (dispatch metrics).
 	deliveries int64
-
-	// Hot-stats sampling (Engine.EnableHotStats): timed selects the timed
-	// route variant for this stream; trieNs/machineNs accumulate the
-	// stream's shared-trie and machine-delivery nanoseconds, drained by
-	// StreamContext after the run.
-	timed     bool  //vitex:keep set per stream by StreamContext, cleared by it after the run
-	trieNs    int64 //vitex:keep drained and zeroed by StreamContext after a timed run
-	machineNs int64 //vitex:keep drained and zeroed by StreamContext after a timed run
 }
 
-// init wires the router over runs (indexed by global machine id) with the
-// given subscription tables; machines lists the ids this router routes for,
-// trie is the epoch's shared prefix trie (nil without sharing) and trieIDs
-// restricts trie evaluation to a subset of node IDs (nil = all).
-func (rt *router) init(runs []*twigm.Run, elemSubs, attrSubs subTable, wild, machines []int32, trie *twigm.Trie, trieIDs []bool) {
+// init wires the router over runs (slot-indexed against ep) and ep's
+// subscription tables. machines lists the slots this router routes for;
+// every other slot is stamped math.MaxInt64, which keeps it out of every
+// start-element union, so a shard worker filters the shared tables with
+// the dedup test it runs anyway. trieIDs restricts evaluation of ep's
+// shared prefix trie to a subset of node IDs (nil = all).
+func (rt *router) init(runs []*twigm.Run, ep *epoch, machines []int32, trieIDs []bool) {
 	n := len(runs)
 	rt.runs = runs
-	rt.elemSubs = elemSubs
-	rt.attrSubs = attrSubs
-	rt.wild = wild
+	rt.elemSubs = ep.elemSubs
+	rt.attrSubs = ep.attrSubs
+	rt.wild = ep.wild
 	rt.machines = machines
 	rt.stamps = make([]int64, n)
+	for i := range rt.stamps {
+		rt.stamps[i] = math.MaxInt64
+	}
+	for _, i := range machines {
+		rt.stamps[i] = 0
+	}
 	rt.endSet.init(n)
 	rt.textSet.init(n)
 	rt.fullSet.init(n)
-	if trie != nil {
-		rt.prun.Rebind(trie, trieIDs)
+	if ep.trie != nil {
+		rt.prun.Rebind(ep.trie, trieIDs)
 	}
-}
-
-// rehost points the router at a new slot universe without touching its
-// subscription tables: the routed membership is unchanged (the caller
-// verified that), only the runs slice and the slot-indexed scratch need to
-// cover the new universe. Slot universes only grow between rehosts —
-// shrinking renumbers slots (compaction), which changes membership and goes
-// through init instead.
-func (rt *router) rehost(runs []*twigm.Run, nSlots int) {
-	rt.runs = runs
-	for len(rt.stamps) < nSlots {
-		rt.stamps = append(rt.stamps, 0)
-	}
-	rt.endSet.grow(nSlots)
-	rt.textSet.grow(nSlots)
-	rt.fullSet.grow(nSlots)
 }
 
 // reset clears the dynamic sets and recomputes the memberships of every
@@ -662,9 +614,6 @@ func (rt *router) deliver(i int32, ev *sax.Event, idx int64) error {
 //
 //vitex:hotpath
 func (rt *router) route(ev *sax.Event, idx int64) error {
-	if rt.timed {
-		return rt.routeTimed(ev, idx)
-	}
 	switch ev.Kind {
 	case sax.StartElement:
 		rt.prun.StartElement(ev)
@@ -697,52 +646,6 @@ func (rt *router) route(ev *sax.Event, idx int64) error {
 		}
 	}
 	return nil
-}
-
-// routeTimed is route with per-stage clock reads: shared-trie pushes/pops
-// and machine-delivery loops are bracketed by time.Now pairs whose deltas
-// accumulate into trieNs/machineNs; everything else in the stream's wall
-// clock is attributed to the scan by StreamContext. Dispatch order and
-// semantics are identical to route — only clock reads are added — so a
-// timed stream delivers byte-identical results.
-//
-//vitex:hotpath
-func (rt *router) routeTimed(ev *sax.Event, idx int64) error {
-	switch ev.Kind {
-	case sax.StartElement:
-		t0 := time.Now()
-		rt.prun.StartElement(ev)
-		rt.trieNs += time.Since(t0).Nanoseconds()
-		return rt.deliverAllTimed(rt.startSubscribers(ev), ev, idx)
-	case sax.EndElement:
-		if err := rt.deliverAllTimed(rt.snapshot(&rt.endSet), ev, idx); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		rt.prun.EndElement(ev.Depth)
-		rt.trieNs += time.Since(t0).Nanoseconds()
-	case sax.Text:
-		return rt.deliverAllTimed(rt.snapshot(&rt.textSet), ev, idx)
-	default:
-		return rt.deliverAllTimed(rt.machines, ev, idx)
-	}
-	return nil
-}
-
-// deliverAllTimed delivers the event to every listed machine with the loop
-// bracketed by one clock pair, accumulating into machineNs.
-//
-//vitex:hotpath
-func (rt *router) deliverAllTimed(list []int32, ev *sax.Event, idx int64) error {
-	t0 := time.Now()
-	var err error
-	for _, i := range list {
-		if err = rt.deliver(i, ev, idx); err != nil {
-			break
-		}
-	}
-	rt.machineNs += time.Since(t0).Nanoseconds()
-	return err
 }
 
 // startSubscribers collects, deduplicates and orders the routed machines
@@ -786,14 +689,15 @@ func (rt *router) startSubscribers(ev *sax.Event) []int32 {
 	return out
 }
 
-// appendNew appends the members of list not yet stamped this event. A method
-// rather than a closure inside startSubscribers: the closure captured out by
-// reference and allocated per start-element (hotalloc caught it).
+// appendNew appends the members of list not yet stamped this event, skipping
+// slots the router does not route for (stamped math.MaxInt64 by init). A
+// method rather than a closure inside startSubscribers: the closure captured
+// out by reference and allocated per start-element (hotalloc caught it).
 //
 //vitex:hotpath
 func (rt *router) appendNew(out, list []int32) []int32 {
 	for _, i := range list {
-		if rt.stamps[i] != rt.stamp {
+		if rt.stamps[i] < rt.stamp {
 			rt.stamps[i] = rt.stamp
 			out = append(out, i)
 		}
@@ -829,13 +733,6 @@ func (d *denseSet) init(n int) {
 	d.pos = make([]int32, n)
 	for i := range d.pos {
 		d.pos[i] = -1
-	}
-}
-
-// grow extends the position index to cover n slots (members unchanged).
-func (d *denseSet) grow(n int) {
-	for len(d.pos) < n {
-		d.pos = append(d.pos, -1)
 	}
 }
 

@@ -430,18 +430,15 @@ func (e *Engine) Replace(old *twigm.Program, q *xpath.Query) (*twigm.Program, er
 // Metrics is a point-in-time view of the engine's churn accounting, the
 // counters the incremental-update guarantees are asserted against: Compiles
 // counts machine compilations over the engine's lifetime (an Add moves it by
-// exactly one), Compactions counts slot-reclaiming passes, ShardRebalances
-// counts parallel-shard routing tables rebuilt during pooled session resyncs
-// (an Add touches exactly one shard per session), and Slots/Live/Garbage
-// describe the current epoch.
+// exactly one), Compactions counts slot-reclaiming passes, and
+// Slots/Live/Garbage describe the current epoch.
 type Metrics struct {
-	Epoch           uint64
-	Compiles        int64
-	Compactions     int64
-	ShardRebalances int64
-	Slots           int
-	Live            int
-	Garbage         int
+	Epoch       uint64
+	Compiles    int64
+	Compactions int64
+	Slots       int
+	Live        int
+	Garbage     int
 
 	// Prefix-sharing accounting. TrieNodes is the live shared-trie node
 	// count (0 when sharing is disabled or no query shares); TrieGarbage
@@ -468,22 +465,6 @@ type Metrics struct {
 	// (nanoseconds per scan event, serial streams only): always on, two
 	// clock reads per document. Full bucket data via EvalHistogram.
 	Eval obs.Stats
-
-	// Hot is the sampled hot-path attribution (EnableHotStats); all
-	// zeros unless sampling is on.
-	Hot HotStats
-}
-
-// HotStats attributes sampled streams' wall clock across the three serial
-// hot-path stages: scan (parsing + routing lookups), the shared prefix
-// trie, and residual-machine deliveries. Cumulative over the timed streams
-// only; divide by Events for per-event cost.
-type HotStats struct {
-	Streams   int64
-	Events    int64
-	ScanNs    int64
-	TrieNs    int64
-	MachineNs int64
 }
 
 // Metrics returns the engine's churn and dispatch accounting.
@@ -499,7 +480,6 @@ func (e *Engine) Metrics() Metrics {
 		Epoch:            ep.seq,
 		Compiles:         e.compiles.Load(),
 		Compactions:      e.compactions.Load(),
-		ShardRebalances:  e.shardRebalances.Load(),
 		Slots:            len(ep.progs),
 		Live:             len(ep.live),
 		Garbage:          ep.garbage,
@@ -513,12 +493,5 @@ func (e *Engine) Metrics() Metrics {
 		Deliveries:       e.deliveries.Load(),
 		TriePushes:       e.triePushes.Load(),
 		Eval:             e.evalHist.Snapshot().Stats(),
-		Hot: HotStats{
-			Streams:   e.hotStreams.Load(),
-			Events:    e.hotEvents.Load(),
-			ScanNs:    e.hotScanNs.Load(),
-			TrieNs:    e.hotTrieNs.Load(),
-			MachineNs: e.hotMachineNs.Load(),
-		},
 	}
 }

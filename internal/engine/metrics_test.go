@@ -41,7 +41,6 @@ func monotoneCounters(m Metrics) []int64 {
 		int64(m.Epoch),
 		m.Compiles,
 		m.Compactions,
-		m.ShardRebalances,
 		m.TrieGrafts,
 		m.TriePrunes,
 		m.TrieCompactions,
@@ -52,7 +51,7 @@ func monotoneCounters(m Metrics) []int64 {
 }
 
 var monotoneNames = []string{
-	"Epoch", "Compiles", "Compactions", "ShardRebalances",
+	"Epoch", "Compiles", "Compactions",
 	"TrieGrafts", "TriePrunes", "TrieCompactions",
 	"Events", "Deliveries", "TriePushes",
 }
@@ -219,5 +218,29 @@ func TestMetricsConsistencyUnderChurn(t *testing.T) {
 		if fmt.Sprint(churnedOut[i]) != fmt.Sprint(freshOut[i]) {
 			t.Errorf("machine %d: churned %q, fresh %q", i, churnedOut[i], freshOut[i])
 		}
+	}
+}
+
+// TestEvalHistogramAlwaysOn: every serial stream with events lands one
+// observation (its ns-per-event) in the evaluation histogram, with no
+// opt-in required.
+func TestEvalHistogramAlwaysOn(t *testing.T) {
+	e := mustEngine(t, metricsSources[0], metricsSources[3])
+	const streams = 5
+	for i := 0; i < streams; i++ {
+		if _, err := e.Stream(strings.NewReader(metricsDoc), false, make([]twigm.Options, e.Len())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := e.EvalHistogram()
+	if s.Count != streams {
+		t.Fatalf("eval histogram count = %d, want %d", s.Count, streams)
+	}
+	if s.SumNs <= 0 {
+		t.Fatalf("eval histogram sum = %d", s.SumNs)
+	}
+	m := e.Metrics()
+	if m.Eval.Count != streams || m.Eval.P50Ns <= 0 {
+		t.Fatalf("Metrics.Eval = %+v", m.Eval)
 	}
 }

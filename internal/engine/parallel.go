@@ -35,7 +35,7 @@
 //     Emit callbacks sequentially from one goroutine, exactly as the serial
 //     engine would.
 //
-// Batches, worker sessions, machine runs, routing tables and the internal
+// Batches, worker sessions, machine runs, routing state and the internal
 // Emit closures are pooled per Engine; the per-stream cost on top of the
 // serial path is one pair of channels per worker plus the emission buffers
 // results pass through.
@@ -278,16 +278,15 @@ type resultChunk struct {
 // eventBatch is a pooled, fixed-capacity slice of scan events. Attribute
 // slices are deep-copied into the batch's arena (the scanner reuses its
 // attribute buffer between events). Element names are stable interned
-// strings; Text and attribute values are stable on the per-event producer
-// path, but under batched scanning (sax.BatchHandler) they die when the
-// scanner's HandleBatch call returns — long before the shard workers read
-// the batch — so the producer copies them into the batch's chars arena.
+// strings; Text and attribute values die when the scanner's HandleBatch
+// call returns (sax.BatchHandler) — long before the shard workers read the
+// batch — so the producer copies them into the batch's chars arena.
 // refs counts the workers still reading the batch; the last one returns it
 // to the freelist.
 //
 //vitex:pooled
 type eventBatch struct {
-	base   int64 //vitex:keep assigned by HandleEvent when the first event lands
+	base   int64 //vitex:keep assigned by HandleBatch when the first event lands
 	events []sax.Event
 	attrs  []sax.Attr
 	chars  []byte
@@ -319,14 +318,12 @@ func (b *eventBatch) copied(s string) string {
 
 // psession is one parallel evaluation's worth of mutable state: all machine
 // runs (slot-indexed against the epoch it last synced to), the shard workers
-// (each a router over its shard with shard-filtered tables), the reusable
-// scanner and the batch freelist. Pooled per Engine. Runs, routing tables,
+// (each a router over the epoch's tables that routes for its shard only),
+// the reusable scanner and the batch freelist. Pooled per Engine. Runs,
 // internal Emit closures, dynamic sets and batches are all retained across
 // streams; the per-stream cost is one pair of channels per worker plus
-// whatever emission buffers results need. Across epochs the session resyncs
-// incrementally: a mutation rebuilds routing state only in the shards whose
-// membership changed (slot i belongs to shard i mod N, so an Add touches
-// exactly one shard).
+// whatever emission buffers results need. Across epochs the session re-keys
+// its runs and re-initializes every worker's router (sync).
 //
 //vitex:pooled
 type psession struct {
@@ -348,10 +345,9 @@ type psession struct {
 	emits []func(twigm.Result) error //vitex:keep prebuilt closures, grown by sync only
 }
 
-// pworker owns the machines of one shard: a router restricted to the shard
-// (tables owned by the worker, mutated in place during resyncs — they are
-// session-private), the channels batches and results flow through, and the
-// emission buffer the shard's internal Emit closures append to.
+// pworker owns the machines of one shard: a router that routes for the
+// shard's machines only, the channels batches and results flow through, and
+// the emission buffer the shard's internal Emit closures append to.
 //
 //vitex:pooled
 type pworker struct {
@@ -390,44 +386,20 @@ func newPsession(e *Engine, workers int) *psession {
 	return ps
 }
 
-// shardOf maps a machine slot to the worker that owns it. Static sharding by
-// slot keeps a machine on one worker across its lifetime (epochs preserve
-// slots outside compaction), which is what makes incremental resync local.
+// shardOf maps a machine slot to the worker that owns it (slot i belongs to
+// shard i mod N).
 func (ps *psession) shardOf(slot int32) int { return int(slot) % ps.nworkers }
 
 // sync aligns the session's slot-indexed state with ep. Steady state is a
 // pointer compare. After a mutation, runs are re-keyed by program identity
-// (machines untouched by the mutation keep their warmed-up state), and only
-// the shards whose slot membership changed rebuild their routing tables —
-// the per-shard rebuild is recorded in the engine's ShardRebalances metric.
+// (machines untouched by the mutation keep their warmed-up state) and every
+// worker's router is re-initialized over the epoch's own tables with its
+// shard's machines and trie nodes.
 func (ps *psession) sync(ep *epoch) {
 	if ps.ep == ep {
 		return
 	}
-	old := ps.ep
-	runs := rekeyRuns(old, ps.runs, ep)
-	dirty := make([]bool, ps.nworkers)
-	for slot := range ep.progs {
-		var prev *twigm.Program
-		prevAnchor := int32(-1)
-		if old != nil && slot < len(old.progs) {
-			prev = old.progs[slot]
-			prevAnchor = old.anchors[slot]
-		}
-		// An anchor move without a program change (trie compaction
-		// renumbering IDs) also invalidates the shard's trie filter.
-		if ep.progs[slot] != prev || ep.anchors[slot] != prevAnchor {
-			dirty[ps.shardOf(int32(slot))] = true
-		}
-	}
-	if old != nil {
-		for slot := len(ep.progs); slot < len(old.progs); slot++ {
-			if old.progs[slot] != nil {
-				dirty[ps.shardOf(int32(slot))] = true
-			}
-		}
-	}
-	ps.runs = runs
+	ps.runs = rekeyRuns(ps.ep, ps.runs, ep)
 
 	// Grow the per-slot emit plumbing; closures resolve their worker per
 	// call, so they survive compaction moving a slot between shards.
@@ -436,24 +408,8 @@ func (ps *psession) sync(ep *epoch) {
 		ps.emitOn = append(ps.emitOn, false)
 	}
 
-	rebuilt := int64(0)
 	for wi, w := range ps.workers {
-		if old != nil && !dirty[wi] {
-			// Membership unchanged: the shard keeps its tables — and its
-			// current trie reference: the shard's machines and their
-			// anchors are unchanged, and published tries never mutate
-			// nodes in place, so the old trie answers identically for
-			// this shard's anchor paths. Only the runs slice reference
-			// moves to the new slot universe.
-			w.rt.rehost(runs, len(ep.progs))
-			continue
-		}
-		var wild, machines []int32
-		for _, slot := range ep.wild {
-			if ps.shardOf(slot) == wi {
-				wild = append(wild, slot)
-			}
-		}
+		var machines []int32
 		for _, slot := range ep.live {
 			if ps.shardOf(slot) == wi {
 				machines = append(machines, slot)
@@ -475,35 +431,9 @@ func (ps *psession) sync(ep *epoch) {
 				}
 			}
 		}
-		w.rt.init(runs, shardFilter(ep.elemSubs, ps, wi), shardFilter(ep.attrSubs, ps, wi), wild, machines, ep.trie, trieIDs)
-		if old != nil {
-			rebuilt++
-		}
-	}
-	if rebuilt > 0 {
-		ps.eng.shardRebalances.Add(rebuilt)
+		w.rt.init(ps.runs, ep, machines, trieIDs)
 	}
 	ps.ep = ep
-}
-
-// shardFilter restricts a subscription table to the slots of one shard.
-func shardFilter(subs subTable, ps *psession, w int) subTable {
-	out := make(subTable, len(subs))
-	for c, ch := range subs {
-		if ch == nil {
-			continue
-		}
-		var lists [1 << subChunkBits][]int32
-		for i, list := range ch.lists {
-			for _, slot := range list {
-				if ps.shardOf(slot) == w {
-					lists[i] = append(lists[i], slot)
-				}
-			}
-		}
-		out[c] = &subChunk{lists: lists}
-	}
-	return out
 }
 
 // emitFor builds the slot's internal Emit closure, wired once: it stamps
@@ -589,45 +519,13 @@ func (p *producer) batch() *eventBatch {
 	}
 }
 
-// HandleEvent implements sax.Handler. The scanner reuses its event and
-// attribute buffers between calls, so events are copied by value and
-// attribute slices into the batch arena.
+// HandleEvent implements sax.Handler as a one-event batch. It serves only the
+// std-parser path and SetScanBatch(-1); copying the event's text into the
+// batch arena is redundant there (per-event strings are stable) but cheap.
 //
 //vitex:hotpath
 func (p *producer) HandleEvent(ev *sax.Event) error {
-	if p.abort.Load() {
-		return errAborted
-	}
-	if p.done != nil {
-		select {
-		case <-p.done:
-			return p.ctx.Err()
-		default:
-		}
-	}
-	p.events++
-	if ev.Kind == sax.StartElement {
-		p.elements++
-		if ev.Depth > p.maxDepth {
-			p.maxDepth = ev.Depth
-		}
-	}
-	if p.cur == nil {
-		p.cur = p.batch()
-		p.cur.base = p.events
-	}
-	b := p.cur
-	e := *ev
-	if len(ev.Attrs) > 0 {
-		start := len(b.attrs)
-		b.attrs = append(b.attrs, ev.Attrs...)
-		e.Attrs = b.attrs[start:len(b.attrs):len(b.attrs)]
-	}
-	b.events = append(b.events, e)
-	if len(b.events) == batchSize {
-		p.dispatch()
-	}
-	return nil
+	return p.HandleBatch(unsafe.Slice(ev, 1))
 }
 
 // HandleBatch implements sax.BatchHandler: the scanner hands over arrays of

@@ -77,6 +77,39 @@ func TestStreamParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStreamParallelDeliveriesMatchSerial: every worker routes over the
+// epoch's shared subscription tables and skips other shards' machines by
+// stamp, so each event must wake each subscribed machine exactly once
+// across all shards — the Deliveries and Events counters move by exactly
+// as much as in a serial stream of the same document.
+func TestStreamParallelDeliveriesMatchSerial(t *testing.T) {
+	sources := append(append([]string(nil), parallelTestSources...), datagen.OverlapQueries(200, 0.9, 0, 0, 42)...)
+	e := mustEngine(t, sources...)
+	docs := map[string]string{
+		"ticker": datagen.Ticker{Trades: 120, Seed: 5}.String(),
+		"portal": datagen.Portal{Articles: 60, Seed: 1}.String(),
+	}
+	for name, doc := range docs {
+		moved := func(workers int) (deliveries, events int64) {
+			m0 := e.Metrics()
+			if _, _, err := streamAll(t, e, doc, false, twigm.Options{}, workers); err != nil {
+				t.Fatal(err)
+			}
+			m1 := e.Metrics()
+			return m1.Deliveries - m0.Deliveries, m1.Events - m0.Events
+		}
+		wantD, wantE := moved(0)
+		if wantD == 0 || wantE == 0 {
+			t.Fatalf("%s: serial stream moved no counters (deliveries %d, events %d)", name, wantD, wantE)
+		}
+		for _, workers := range []int{2, 3, 5} {
+			if d, ev := moved(workers); d != wantD || ev != wantE {
+				t.Fatalf("%s workers=%d: deliveries %d events %d, serial %d / %d", name, workers, d, ev, wantD, wantE)
+			}
+		}
+	}
+}
+
 // TestStreamParallelEmissionOrder: the merged emission sequence (across
 // machines, as the caller observes it) must equal the serial interleaving,
 // not just the per-machine sequences.

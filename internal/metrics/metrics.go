@@ -78,6 +78,30 @@ func StartTimer() Timer { return Timer{start: time.Now()} }
 // Elapsed returns the wall time since start.
 func (t Timer) Elapsed() time.Duration { return time.Since(t.start) }
 
+// CPUTimer measures the CPU time the calling OS thread spends in a phase, so
+// time spent descheduled behind other processes does not count. The caller
+// keeps the goroutine on one thread (runtime.LockOSThread) from start to
+// Elapsed. Where the platform has no thread clock it measures wall time.
+type CPUTimer struct {
+	wall time.Time
+	cpu  time.Duration
+	ok   bool
+}
+
+// StartCPUTimer begins timing.
+func StartCPUTimer() CPUTimer {
+	cpu, ok := threadCPU()
+	return CPUTimer{wall: time.Now(), cpu: cpu, ok: ok}
+}
+
+// Elapsed returns the thread's CPU time since start.
+func (t CPUTimer) Elapsed() time.Duration {
+	if cpu, ok := threadCPU(); ok && t.ok {
+		return cpu - t.cpu
+	}
+	return time.Since(t.wall)
+}
+
 // Fit is a least-squares linear fit y = A + B*x with goodness R2.
 type Fit struct {
 	A, B, R2 float64

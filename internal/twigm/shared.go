@@ -352,8 +352,10 @@ type prefixOpen struct {
 
 // PrefixRun evaluates a Trie over one event stream: the runtime stacks of
 // the shared prefix layer, maintained once per scan however many residual
-// machines anchor into them. A PrefixRun is single-goroutine state (the
-// engine keeps one per pooled session and one per parallel shard worker).
+// machines anchor into them. A PrefixRun is single-goroutine state: the
+// engine keeps one per pooled session, and one per parallel shard worker
+// that Rebind restricts to the anchor paths of the worker's own machines,
+// re-derived whenever the session resyncs to a new epoch.
 type PrefixRun struct {
 	trie *Trie
 	// stacks[id] is the node's open-entry stack. Pointers are stable from
@@ -369,7 +371,7 @@ type PrefixRun struct {
 	pushes int64
 }
 
-// Rebind points the run at a (new) trie and shard filter, growing the stack
+// Rebind points the run at a (new) trie and node filter, growing the stack
 // table; existing AnchorStack pointers stay valid. Call between streams.
 func (pr *PrefixRun) Rebind(t *Trie, enabled []bool) {
 	pr.trie = t

@@ -459,16 +459,6 @@ func (qs *QuerySet) Metrics() engine.Metrics {
 	return qs.eng.Metrics()
 }
 
-// EnableHotStats samples every every-th serial Stream with timed routing,
-// attributing wall clock across scan/trie/machine stages; see
-// engine.Engine.EnableHotStats. The attribution accumulates in
-// Metrics().Hot.
-func (qs *QuerySet) EnableHotStats(every int) {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	qs.eng.EnableHotStats(every)
-}
-
 // EvalHistogram returns the full bucket data behind Metrics().Eval: the
 // distribution of per-stream evaluation cost in ns per scan event.
 func (qs *QuerySet) EvalHistogram() obs.Snapshot {
